@@ -1,6 +1,7 @@
 // Per-kernel roofline microbenches of the Parallel Modules library: every
-// vectorized kernel family (SAD grid/block, FSBM row, interpolation,
-// transform, deblocking, MC) timed at every tier the registry can resolve
+// vectorized kernel family (SAD grid/block, FSBM row, SME row,
+// interpolation, transform, deblocking, MC) timed at every tier the registry
+// can resolve
 // on this machine, with the roofline coordinates that make the numbers
 // interpretable — bytes and arithmetic ops per item, so items/s converts to
 // GB/s and Gop/s against the machine's ceilings. Not a figure from the
@@ -16,11 +17,13 @@
 #include "codec/mc.hpp"
 #include "codec/me.hpp"
 #include "codec/sad.hpp"
+#include "codec/sme.hpp"
 #include "codec/transform.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -61,6 +64,20 @@ double measure_ns(F&& fn, bool smoke) {
   }
 }
 
+/// Prints one (name, tier) row and emits its JSON keys; `scalar_ns` is the
+/// scalar row of the same name (0 until measured).
+void report_row(bench::JsonReport& json, const char* name, SimdTier tier,
+                double items, double ns, double scalar_ns) {
+  const double mitems_s = items / (ns * 1e-9) / 1e6;
+  const double speedup = scalar_ns > 0.0 ? scalar_ns / ns : 0.0;
+  std::printf("  %-10s %-8s %12.1f ns/call %10.1f Mitems/s %7.2fx\n", name,
+              tier_name(tier), ns, mitems_s, speedup);
+  const std::string key = std::string(name) + "_" + tier_name(tier);
+  json.add(key + "_ns", ns);
+  json.add(key + "_mitems_s", mitems_s);
+  json.add(key + "_speedup", speedup);
+}
+
 /// One kernel family's report: prints a row per tier and emits the JSON
 /// keys, folding in the roofline coordinates and the speedup vs scalar.
 class KernelReport {
@@ -75,18 +92,9 @@ class KernelReport {
   }
 
   void add(SimdTier tier, double ns_per_call) {
-    const double mitems_s = items_ / (ns_per_call * 1e-9) / 1e6;
     if (tier == SimdTier::kScalar) scalar_ns_ = ns_per_call;
-    const double speedup =
-        scalar_ns_ > 0.0 ? scalar_ns_ / ns_per_call : 0.0;
-    std::printf("  %-10s %-8s %12.1f ns/call %10.1f Mitems/s %7.2fx\n",
-                kernel_name(id_), tier_name(tier), ns_per_call, mitems_s,
-                speedup);
-    const std::string key =
-        std::string(kernel_name(id_)) + "_" + tier_name(tier);
-    json_.add(key + "_ns", ns_per_call);
-    json_.add(key + "_mitems_s", mitems_s);
-    json_.add(key + "_speedup", speedup);
+    report_row(json_, kernel_name(id_), tier, items_, ns_per_call,
+               scalar_ns_);
   }
 
  private:
@@ -114,7 +122,7 @@ void bench_sad(bench::JsonReport& json, bool smoke) {
   // 256 pixel-SADs per grid call: 2 bytes loaded and ~3 integer ops
   // (subtract, abs, accumulate) per item.
   KernelReport grid(json, KernelId::kSadGrid, 256, 2.0, 3.0);
-  for (SimdTier t : tiers_of(KernelId::kSadGrid, /*with_blocked=*/true)) {
+  for (SimdTier t : tiers_of(KernelId::kSadGrid, /*with_blocked=*/false)) {
     const SadGrid16Fn fn = sad_grid_16x16_kernel(t);
     u16 out[16];
     grid.add(t, measure_ns(
@@ -154,10 +162,13 @@ void bench_me_row(bench::JsonReport& json, bool smoke) {
   const double items = (w / 16) * cands * 256.0;
   json.add("me_row_bytes_per_item", 2.0);
   json.add("me_row_ops_per_item", 3.0);
-  std::printf("  [me_row: %d MBs x (2*%d+1)^2 candidates]\n", w / 16, range);
+  std::printf("  [me_row: %d MBs x (2*%d+1)^2 candidates; avx2 is the "
+              "fused kernel]\n",
+              w / 16, range);
   MeParams params;
   params.search_range = range;
-  for (SimdTier t : tiers_of(KernelId::kSadGrid, /*with_blocked=*/true)) {
+  double scalar_ns = 0.0;
+  for (SimdTier t : tiers_of(KernelId::kSadGrid, /*with_blocked=*/false)) {
     params.tier = t;
     const double ns = measure_ns(
         [&] {
@@ -165,16 +176,55 @@ void bench_me_row(bench::JsonReport& json, bool smoke) {
           keep(field.data());
         },
         smoke);
-    const double mitems_s = items / (ns * 1e-9) / 1e6;
-    static double scalar_ns = 0.0;
     if (t == SimdTier::kScalar) scalar_ns = ns;
-    std::printf("  %-10s %-8s %12.1f ns/call %10.1f Mitems/s %7.2fx\n",
-                "me_row", tier_name(t), ns, mitems_s,
-                scalar_ns > 0 ? scalar_ns / ns : 0.0);
-    const std::string key = std::string("me_row_") + tier_name(t);
-    json.add(key + "_ns", ns);
-    json.add(key + "_mitems_s", mitems_s);
-    json.add(key + "_speedup", scalar_ns > 0 ? scalar_ns / ns : 0.0);
+    report_row(json, "me_row", t, items, ns, scalar_ns);
+  }
+}
+
+void bench_sme_row(bench::JsonReport& json, bool smoke) {
+  const int w = 160, h = 48, border = 32;
+  const int range = 2;  // the encoder's default quarter-pel refinement
+  auto cur = random_plane(w, h, border, 13);
+  auto ref = random_plane(w, h, border, 14);
+  SubPelFrame sf(w, h, border);
+  run_interpolation_rows(ref, 0, h / 16, sf);
+  extend_subpel_borders(sf);
+  // Refine the middle MB row from ME-like integer vectors (+-16 pixels).
+  const int mbw = w / 16;
+  MotionField base(static_cast<std::size_t>(mbw * (h / 16)));
+  Rng rng(15);
+  for (MbMotion& mb : base) {
+    for (MotionEntry& e : mb.entries) {
+      e.mv = Mv{static_cast<i16>(4 * rng.uniform_int(-16, 16)),
+                static_cast<i16>(4 * rng.uniform_int(-16, 16))};
+    }
+  }
+  MotionField field = base;
+
+  // Items are probe pixels: each of the 41 partition blocks probes
+  // (2r+1)^2 positions over its own area, so 7 * 256 pixels per MB per
+  // probe position. 2 bytes loaded and ~3 ops per item, like the SADs.
+  const double probes = double(2 * range + 1) * (2 * range + 1);
+  const double items = mbw * probes * kNumPartitionModes * 256.0;
+  json.add("sme_row_bytes_per_item", 2.0);
+  json.add("sme_row_ops_per_item", 3.0);
+  std::printf("  [sme_row: %d MBs x 41 blocks x (2*%d+1)^2 probes]\n", mbw,
+              range);
+  SmeParams params;
+  params.refine_range = range;
+  double scalar_ns = 0.0;
+  for (SimdTier t : tiers_of(KernelId::kSadBlock, /*with_blocked=*/false)) {
+    params.tier = t;
+    const double ns = measure_ns(
+        [&] {
+          std::copy(base.begin() + mbw, base.begin() + 2 * mbw,
+                    field.begin() + mbw);
+          run_sme_rows(cur, sf, mbw, 1, 2, params, field.data());
+          keep(field.data());
+        },
+        smoke);
+    if (t == SimdTier::kScalar) scalar_ns = ns;
+    report_row(json, "sme_row", t, items, ns, scalar_ns);
   }
 }
 
@@ -227,10 +277,10 @@ void bench_transform(bench::JsonReport& json, bool smoke) {
                    smoke));
   }
   std::printf("  [transform: inverse]\n");
+  double scalar_ns = 0.0;
   for (SimdTier t : tiers_of(KernelId::kTransform, /*with_blocked=*/false)) {
     const Inv4x4Fn fn = inverse_transform_4x4_kernel(t);
     i16 out[16];
-    static double scalar_ns = 0.0;
     const double ns = measure_ns(
         [&] {
           for (int b = 0; b < kBlocks; ++b) fn(deq[b], out);
@@ -238,14 +288,7 @@ void bench_transform(bench::JsonReport& json, bool smoke) {
         },
         smoke);
     if (t == SimdTier::kScalar) scalar_ns = ns;
-    const double mitems_s = kBlocks * 16.0 / (ns * 1e-9) / 1e6;
-    std::printf("  %-10s %-8s %12.1f ns/call %10.1f Mitems/s %7.2fx\n",
-                "itransform", tier_name(t), ns, mitems_s,
-                scalar_ns > 0 ? scalar_ns / ns : 0.0);
-    const std::string key = std::string("itransform_") + tier_name(t);
-    json.add(key + "_ns", ns);
-    json.add(key + "_mitems_s", mitems_s);
-    json.add(key + "_speedup", scalar_ns > 0 ? scalar_ns / ns : 0.0);
+    report_row(json, "itransform", t, kBlocks * 16.0, ns, scalar_ns);
   }
 }
 
@@ -331,6 +374,7 @@ int main(int argc, char** argv) {
 
   bench_sad(json, args.smoke);
   bench_me_row(json, args.smoke);
+  bench_sme_row(json, args.smoke);
   bench_interp(json, args.smoke);
   bench_transform(json, args.smoke);
   bench_deblock(json, args.smoke);

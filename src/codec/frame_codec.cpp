@@ -241,9 +241,10 @@ void finish_interpolation(EncodeJob& job) {
   job.refs[0]->sf_ready = true;
 }
 
-void sme_rows(EncodeJob& job, int row_begin, int row_end) {
+void sme_rows(EncodeJob& job, int row_begin, int row_end, SimdTier tier) {
   SmeParams params;
   params.refine_range = job.cfg->subpel_refine_range;
+  params.tier = tier;
   for (std::size_t r = 0; r < job.refs.size(); ++r) {
     FEVES_CHECK_MSG(job.refs[r]->sf_ready,
                     "SME before SF of ref " << r << " is complete");
@@ -300,7 +301,7 @@ void rstar_frame(EncodeJob& job, SimdTier tier) {
   finish_reconstruction(job, tier);
 }
 
-void intra_frame(EncodeJob& job) {
+void intra_frame(EncodeJob& job, SimdTier tier) {
   const int mbw = job.cfg->mb_width();
   const int mbh = job.cfg->mb_height();
   const int qp = job.cfg->qp_i;
@@ -317,7 +318,7 @@ void intra_frame(EncodeJob& job) {
       MbCoded& coded = job.coded[mb_y * mbw + mb_x];
       coded.intra = true;
       coded.intra_mode =
-          select_intra_mode(job.cur->y, job.recon->recon.y, mb_x, mb_y);
+          select_intra_mode(job.cur->y, job.recon->recon.y, mb_x, mb_y, tier);
       intra_predict_16x16(job.recon->recon.y, mb_x, mb_y, coded.intra_mode,
                           pred_y);
       intra_predict_chroma_dc(job.recon->recon.u, mb_x, mb_y, pred_u);
@@ -355,7 +356,7 @@ void intra_frame(EncodeJob& job) {
       fill_dbl_info(job, mb_x, mb_y);
     }
   }
-  finish_reconstruction(job);
+  finish_reconstruction(job, tier);
 }
 
 void write_frame_bitstream(const EncodeJob& job, BitWriter& bw) {

@@ -75,8 +75,10 @@ void int_rows(EncodeJob& job, int row_begin, int row_end,
               SimdTier tier = SimdTier::kAuto);
 
 /// SME over MB rows against every reference. All SFs must be complete with
-/// extended borders (call finish_interpolation first).
-void sme_rows(EncodeJob& job, int row_begin, int row_end);
+/// extended borders (call finish_interpolation first). `tier` selects the
+/// probe kernel tier (registry id kSadBlock).
+void sme_rows(EncodeJob& job, int row_begin, int row_end,
+              SimdTier tier = SimdTier::kAuto);
 
 /// Marks refs[0]->sf complete: extends its borders. Host-side step after
 /// all INT row slices are gathered (Fig 4's SF(RF)→SME completion).
@@ -91,7 +93,8 @@ void rstar_frame(EncodeJob& job, SimdTier tier = SimdTier::kAuto);
 
 /// Intra path for the leading I frame: per-MB Intra_16x16 mode decision
 /// (V/H/DC/Plane from reconstructed neighbours), TQ, reconstruction, DBL.
-void intra_frame(EncodeJob& job);
+/// `tier` feeds the mode decision's SAD kernel and the deblocking kernels.
+void intra_frame(EncodeJob& job, SimdTier tier = SimdTier::kAuto);
 
 // ---- Entropy / bitstream -------------------------------------------------
 

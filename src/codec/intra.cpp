@@ -95,7 +95,8 @@ void intra_predict_16x16(const PlaneU8& recon, int mb_x, int mb_y,
 }
 
 IntraMode select_intra_mode(const PlaneU8& source, const PlaneU8& recon,
-                            int mb_x, int mb_y) {
+                            int mb_x, int mb_y, SimdTier tier) {
+  const SadBlockFn sad = sad_block_kernel(tier);
   const IntraNeighbours n = intra_neighbours(mb_x, mb_y);
   const u8* src = source.row(mb_y * kMbSize) + mb_x * kMbSize;
   IntraMode best = IntraMode::kDc;
@@ -106,7 +107,7 @@ IntraMode select_intra_mode(const PlaneU8& source, const PlaneU8& recon,
     if (!intra_mode_available(mode, n)) continue;
     intra_predict_16x16(recon, mb_x, mb_y, mode, pred);
     const u32 cost =
-        sad_block(src, source.stride(), pred, kMbSize, kMbSize, kMbSize);
+        sad(src, source.stride(), pred, kMbSize, kMbSize, kMbSize);
     if (cost < best_cost) {
       best_cost = cost;
       best = mode;

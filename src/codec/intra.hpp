@@ -5,6 +5,7 @@
 // against the source macroblock.
 #pragma once
 
+#include "codec/kernels.hpp"
 #include "common/types.hpp"
 #include "video/plane.hpp"
 
@@ -37,9 +38,11 @@ bool intra_mode_available(IntraMode mode, IntraNeighbours n);
 void intra_predict_16x16(const PlaneU8& recon, int mb_x, int mb_y,
                          IntraMode mode, u8 pred[256]);
 
-/// Picks the available mode with minimum SAD against the source MB.
+/// Picks the available mode with minimum SAD against the source MB, priced
+/// by the `tier` kSadBlock kernel.
 IntraMode select_intra_mode(const PlaneU8& source, const PlaneU8& recon,
-                            int mb_x, int mb_y);
+                            int mb_x, int mb_y,
+                            SimdTier tier = SimdTier::kAuto);
 
 /// 8x8 chroma DC prediction from reconstructed neighbours (mean of the
 /// available edges; 128 with none) — the one chroma intra mode used here.

@@ -109,8 +109,6 @@ SimdTier resolve_tier(KernelId id, SimdTier requested) {
   return resolved;
 }
 
-bool simd_tier_available() { return cpu_features().sse2; }
-
 std::vector<KernelTierChoice> kernel_tier_report(SimdTier requested) {
   std::vector<KernelTierChoice> report;
   report.reserve(static_cast<std::size_t>(KernelId::kCount));

@@ -15,11 +15,10 @@ namespace feves {
 /// Kernel tiers, in increasing order of expected throughput.
 enum class SimdTier {
   kScalar,   ///< straightforward reference implementation (the oracle)
-  kBlocked,  ///< unrolled / auto-vectorizable implementation
+  kBlocked,  ///< auto-vectorizable variant (interpolation; scalar elsewhere)
   kSse2,     ///< explicit x86-64 SSE2 intrinsics
   kAvx2,     ///< explicit AVX2 intrinsics (runtime-gated)
   kAuto,     ///< best tier available on this machine
-  kSimd = kSse2,  ///< legacy alias from the SAD-only dispatch table
 };
 
 /// The vectorized kernel families the registry dispatches.
@@ -45,10 +44,6 @@ SimdTier resolve_tier(KernelId id, SimdTier requested);
 
 /// Best tier kernel `id` can run on this machine (== resolve of kAuto).
 SimdTier max_tier(KernelId id);
-
-/// True when the explicit-intrinsics tiers can run on this machine
-/// (runtime CPUID; kept for source compatibility with the SAD-only API).
-bool simd_tier_available();
 
 /// One row of the per-kernel tier report surfaced into SchedTelemetry and
 /// the trace: what the caller asked for and what the registry resolved.

@@ -1,14 +1,17 @@
-// AVX2 tier of the kernel library: SAD (grid + rectangular) and the
-// interpolation row passes. Built without -mavx2 — every function carries a
-// target("avx2") attribute, so the TU compiles into any x86-64 binary and
-// the kernel registry only selects these entry points after CPUID confirms
-// AVX2 (codec/kernels.hpp). On toolchains/targets where the attribute is
-// unavailable the stubs at the bottom forward to the SSE2 tier; they always
-// link and are never the resolved tier.
+// AVX2 tier of the kernel library: SAD (grid + rectangular), the fused
+// full-search macroblock kernel, and the interpolation row passes. Built
+// without -mavx2 — every function carries a target("avx2") attribute, so
+// the TU compiles into any x86-64 binary and the kernel registry only
+// selects these entry points after CPUID confirms AVX2 (codec/kernels.hpp).
+// On toolchains/targets where the attribute is unavailable the stubs at the
+// bottom forward to the SSE2 tier; they always link and are never the
+// resolved tier.
 //
-// Exactness mirrors the SSE2 tier (ranges in codec/interp_rows.hpp); VPSADBW
-// and VPAVGB are exact by definition.
+// Exactness mirrors the SSE2 tier (ranges in codec/interp_rows.hpp); VPSADBW,
+// VMPSADBW and VPAVGB are exact by definition, and the fused kernel's u16
+// partition sums are bounded below 2^16 (DESIGN.md §6h).
 #include "codec/interp_rows.hpp"
+#include "codec/partition.hpp"
 #include "codec/sad.hpp"
 
 #include <algorithm>
@@ -139,6 +142,250 @@ FEVES_AVX2_FN u32 sad_block_avx2(const u8* a, std::ptrdiff_t stride_a,
                             height);
   }
   return total;
+}
+
+// ---- Fused full search (the kAvx2 tier of kSadGrid) ----------------------
+//
+// A chunk is K horizontally adjacent candidates (K = 16 in a ymm, 8 in an
+// xmm), one u16 lane each. For one current row and one 4-column group,
+// VMPSADBW prices the 4-pixel row SAD of all K candidates at once; four rows
+// summed give a 4x4 SAD, and those aggregate to all 41 partition costs in
+// u16 (at most 256 * 255 = 65280). Each lane keeps a strict-less running
+// minimum and its raster candidate index; a (cost, index) reduction over
+// lanes and chunks then reproduces fsbm_mb's first-minimum rule.
+// DESIGN.md §6h has the lane layout, the exactness bound, the tie-break
+// proof and the read-footprint contract.
+
+namespace {
+
+/// Reference rows one chunk touches at the largest fused range.
+constexpr int kMaxWindowRows = 2 * kFusedFsbmMaxRange + kMbSize;
+
+/// MPSADBW selector: the reference window starts at byte 4 * `aoff`
+/// (`aoff` 0 or 1) and the current 4-byte group is `grp`.
+constexpr int mps_sel(int aoff, int grp) { return (aoff << 2) | grp; }
+
+/// The VMPSADBW immediate applying one selector to both 128-bit halves
+/// (bits 0-2 and 3-5).
+constexpr int mps_imm(int aoff, int grp) { return mps_sel(aoff, grp) * 9; }
+
+/// 16 candidates per chunk: lane j of the low half is candidate dx0 + j,
+/// lane j of the high half dx0 + 8 + j.
+struct Ymm {
+  using V = __m256i;
+  static constexpr int kLanes = 16;
+
+  FEVES_AVX2_FN static V zero() { return _mm256_setzero_si256(); }
+  FEVES_AVX2_FN static V set1(int v) {
+    return _mm256_set1_epi16(static_cast<i16>(v));
+  }
+  FEVES_AVX2_FN static V iota() {
+    return _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                             14, 15);
+  }
+  FEVES_AVX2_FN static V add(V a, V b) { return _mm256_add_epi16(a, b); }
+  FEVES_AVX2_FN static V min(V a, V b) { return _mm256_min_epu16(a, b); }
+  FEVES_AVX2_FN static V eq(V a, V b) { return _mm256_cmpeq_epi16(a, b); }
+  /// Lanes of `b` where `mask` is set, of `a` elsewhere.
+  FEVES_AVX2_FN static V blend(V a, V b, V mask) {
+    return _mm256_blendv_epi8(a, b, mask);
+  }
+  /// One current row in both halves.
+  FEVES_AVX2_FN static V cur_row(const u8* p) {
+    return _mm256_broadcastsi128_si256(loadu128(p));
+  }
+  /// Reference windows of one row for the chunk whose first candidate
+  /// column is `p`: `a` holds bytes [0,16) | [8,24) and serves groups 0-1,
+  /// `b` holds [8,24) | [16,31) and serves groups 2-3. The last load is
+  /// taken at p + 15 and shifted down a byte, so nothing past p + 30 — the
+  /// last byte the chunk's candidates cover — is read.
+  FEVES_AVX2_FN static void windows(const u8* p, V* a, V* b) {
+    const __m128i l8 = loadu128(p + 8);
+    *a = pack_rows(loadu128(p), l8);
+    *b = pack_rows(l8, _mm_srli_si128(loadu128(p + 15), 1));
+  }
+  /// Adds one row's 4-pixel SADs of groups 0..3 into `acc`.
+  FEVES_AVX2_FN static void row_sads(V a, V b, V c, V acc[4]) {
+    acc[0] = add(acc[0], _mm256_mpsadbw_epu8(a, c, mps_imm(0, 0)));
+    acc[1] = add(acc[1], _mm256_mpsadbw_epu8(a, c, mps_imm(1, 1)));
+    acc[2] = add(acc[2], _mm256_mpsadbw_epu8(b, c, mps_imm(0, 2)));
+    acc[3] = add(acc[3], _mm256_mpsadbw_epu8(b, c, mps_imm(1, 3)));
+  }
+  /// Smallest (cost << 16 | index) over the lanes.
+  FEVES_AVX2_FN static u32 min_key(V cost, V idx) {
+    const V m = _mm256_min_epu32(_mm256_unpacklo_epi16(idx, cost),
+                                 _mm256_unpackhi_epi16(idx, cost));
+    __m128i s = _mm_min_epu32(_mm256_castsi256_si128(m),
+                              _mm256_extracti128_si256(m, 1));
+    s = _mm_min_epu32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+    s = _mm_min_epu32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+    return static_cast<u32>(_mm_cvtsi128_si32(s));
+  }
+};
+
+/// 8 candidates per chunk (search rows narrower than 16): lane j is
+/// candidate dx0 + j.
+struct Xmm {
+  using V = __m128i;
+  static constexpr int kLanes = 8;
+
+  FEVES_AVX2_FN static V zero() { return _mm_setzero_si128(); }
+  FEVES_AVX2_FN static V set1(int v) {
+    return _mm_set1_epi16(static_cast<i16>(v));
+  }
+  FEVES_AVX2_FN static V iota() {
+    return _mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7);
+  }
+  FEVES_AVX2_FN static V add(V a, V b) { return _mm_add_epi16(a, b); }
+  FEVES_AVX2_FN static V min(V a, V b) { return _mm_min_epu16(a, b); }
+  FEVES_AVX2_FN static V eq(V a, V b) { return _mm_cmpeq_epi16(a, b); }
+  FEVES_AVX2_FN static V blend(V a, V b, V mask) {
+    return _mm_blendv_epi8(a, b, mask);
+  }
+  FEVES_AVX2_FN static V cur_row(const u8* p) { return loadu128(p); }
+  /// `a` holds bytes [0,16) for groups 0-1, `b` bytes [8,23) for groups
+  /// 2-3 (loaded at p + 7 and shifted, so nothing past p + 22 is read).
+  FEVES_AVX2_FN static void windows(const u8* p, V* a, V* b) {
+    *a = loadu128(p);
+    *b = _mm_srli_si128(loadu128(p + 7), 1);
+  }
+  FEVES_AVX2_FN static void row_sads(V a, V b, V c, V acc[4]) {
+    acc[0] = add(acc[0], _mm_mpsadbw_epu8(a, c, mps_sel(0, 0)));
+    acc[1] = add(acc[1], _mm_mpsadbw_epu8(a, c, mps_sel(1, 1)));
+    acc[2] = add(acc[2], _mm_mpsadbw_epu8(b, c, mps_sel(0, 2)));
+    acc[3] = add(acc[3], _mm_mpsadbw_epu8(b, c, mps_sel(1, 3)));
+  }
+  FEVES_AVX2_FN static u32 min_key(V cost, V idx) {
+    __m128i s = _mm_min_epu32(_mm_unpacklo_epi16(idx, cost),
+                              _mm_unpackhi_epi16(idx, cost));
+    s = _mm_min_epu32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+    s = _mm_min_epu32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+    return static_cast<u32>(_mm_cvtsi128_si32(s));
+  }
+};
+
+/// Per-lane running minimum of the 41 partition costs of one chunk.
+template <class T>
+struct LaneMin {
+  typename T::V cost[kEntriesPerMb];
+  typename T::V idx[kEntriesPerMb];
+
+  /// Strict-less update: a lane takes `v` (and candidate index `cand`) only
+  /// when it beats the lane's minimum, so ties keep the earlier candidate.
+  FEVES_AVX2_FN void take(int k, typename T::V v, typename T::V cand) {
+    const typename T::V m = T::min(v, cost[k]);
+    idx[k] = T::blend(cand, idx[k], T::eq(m, cost[k]));
+    cost[k] = m;
+  }
+};
+
+/// Sums rows [0, 4) of a band: the four 4x4 SADs of every lane.
+template <class T>
+FEVES_AVX2_FN inline void band_sads(const typename T::V* a,
+                                    const typename T::V* b,
+                                    const typename T::V* c,
+                                    typename T::V g[4]) {
+  g[0] = g[1] = g[2] = g[3] = T::zero();
+  for (int y = 0; y < 4; ++y) T::row_sads(a[y], b[y], c[y], g);
+}
+
+template <class T>
+FEVES_AVX2_FN void fsbm_chunks(const u8* cur, std::ptrdiff_t cur_stride,
+                               const u8* ref, std::ptrdiff_t ref_stride,
+                               int r, MbMotion* out) {
+  using V = typename T::V;
+  constexpr int K = T::kLanes;
+  constexpr int k16x16 = kModeOffset[static_cast<int>(PartitionMode::k16x16)];
+  constexpr int k16x8 = kModeOffset[static_cast<int>(PartitionMode::k16x8)];
+  constexpr int k8x16 = kModeOffset[static_cast<int>(PartitionMode::k8x16)];
+  constexpr int k8x8 = kModeOffset[static_cast<int>(PartitionMode::k8x8)];
+  constexpr int k8x4 = kModeOffset[static_cast<int>(PartitionMode::k8x4)];
+  constexpr int k4x8 = kModeOffset[static_cast<int>(PartitionMode::k4x8)];
+  constexpr int k4x4 = kModeOffset[static_cast<int>(PartitionMode::k4x4)];
+  const int w = 2 * r + 1;           // candidates per axis
+  const int rows = 2 * r + kMbSize;  // reference rows a chunk touches
+
+  V c[kMbSize];
+  for (int y = 0; y < kMbSize; ++y) c[y] = T::cur_row(cur + y * cur_stride);
+
+  u32 best[kEntriesPerMb];
+  std::fill(best, best + kEntriesPerMb, ~u32{0});
+  V wa[kMaxWindowRows], wb[kMaxWindowRows];
+  LaneMin<T> lm;
+  const V iota = T::iota();
+
+  // Chunks step by K from dx = -r; the last is pulled back to end at +r.
+  for (int x0 = -r;; x0 = std::min(x0 + K, r + 1 - K)) {
+    for (int t = 0; t < rows; ++t) {
+      T::windows(ref + (t - r) * ref_stride + x0, &wa[t], &wb[t]);
+    }
+    for (int k = 0; k < kEntriesPerMb; ++k) {
+      lm.cost[k] = T::set1(0xFFFF);  // above any partition SAD
+      lm.idx[k] = T::zero();
+    }
+    // Window row t is reference row t - r, so candidate row dy reads the
+    // tables from row dy + r. Lane l's index is the candidate's raster
+    // position (dy + r) * w + (x0 + l + r).
+    for (int dyr = 0; dyr < w; ++dyr) {  // dyr = dy + r
+      const V* a = wa + dyr;
+      const V* b = wb + dyr;
+      const V cand = T::add(T::set1(dyr * w + x0 + r), iota);
+      V left = T::zero(), right = T::zero(), top = T::zero();
+      for (int p = 0; p < 2; ++p) {  // pairs of 4-row bands
+        V g0[4], g1[4];
+        band_sads<T>(a + 8 * p, b + 8 * p, c + 8 * p, g0);
+        band_sads<T>(a + 8 * p + 4, b + 8 * p + 4, c + 8 * p + 4, g1);
+        for (int bx = 0; bx < 4; ++bx) {
+          lm.take(k4x4 + 8 * p + bx, g0[bx], cand);
+          lm.take(k4x4 + 8 * p + 4 + bx, g1[bx], cand);
+          lm.take(k4x8 + 4 * p + bx, T::add(g0[bx], g1[bx]), cand);
+        }
+        const V h00 = T::add(g0[0], g0[1]), h01 = T::add(g0[2], g0[3]);
+        const V h10 = T::add(g1[0], g1[1]), h11 = T::add(g1[2], g1[3]);
+        lm.take(k8x4 + 4 * p + 0, h00, cand);
+        lm.take(k8x4 + 4 * p + 1, h01, cand);
+        lm.take(k8x4 + 4 * p + 2, h10, cand);
+        lm.take(k8x4 + 4 * p + 3, h11, cand);
+        const V q0 = T::add(h00, h10), q1 = T::add(h01, h11);
+        lm.take(k8x8 + 2 * p + 0, q0, cand);
+        lm.take(k8x8 + 2 * p + 1, q1, cand);
+        const V half = T::add(q0, q1);
+        lm.take(k16x8 + p, half, cand);
+        if (p == 0) {
+          left = q0;
+          right = q1;
+          top = half;
+        } else {
+          lm.take(k8x16 + 0, T::add(left, q0), cand);
+          lm.take(k8x16 + 1, T::add(right, q1), cand);
+          lm.take(k16x16, T::add(top, half), cand);
+        }
+      }
+    }
+    for (int k = 0; k < kEntriesPerMb; ++k) {
+      best[k] = std::min(best[k], T::min_key(lm.cost[k], lm.idx[k]));
+    }
+    if (x0 + K - 1 >= r) break;
+  }
+
+  for (int k = 0; k < kEntriesPerMb; ++k) {
+    const int i = static_cast<int>(best[k] & 0xFFFF);
+    out->entries[k].cost = best[k] >> 16;
+    out->entries[k].mv = Mv{static_cast<i16>((i % w - r) * kSubPel),
+                            static_cast<i16>((i / w - r) * kSubPel)};
+  }
+}
+
+}  // namespace
+
+FEVES_AVX2_FN void fsbm_mb_avx2(const u8* cur, std::ptrdiff_t cur_stride,
+                                const u8* ref, std::ptrdiff_t ref_stride,
+                                int range, MbMotion* out) {
+  if (range < Ymm::kLanes / 2) {
+    fsbm_chunks<Xmm>(cur, cur_stride, ref, ref_stride, range, out);
+  } else {
+    fsbm_chunks<Ymm>(cur, cur_stride, ref, ref_stride, range, out);
+  }
 }
 
 namespace interp {
@@ -279,6 +526,11 @@ void sad_grid_avx2(const u8* cur, std::ptrdiff_t cur_stride, const u8* ref,
 u32 sad_block_avx2(const u8* a, std::ptrdiff_t stride_a, const u8* b,
                    std::ptrdiff_t stride_b, int width, int height) {
   return sad_block_simd(a, stride_a, b, stride_b, width, height);
+}
+
+void fsbm_mb_avx2(const u8* cur, std::ptrdiff_t cur_stride, const u8* ref,
+                  std::ptrdiff_t ref_stride, int range, MbMotion* out) {
+  fsbm_mb(&sad_grid_simd, cur, cur_stride, ref, ref_stride, range, out);
 }
 
 namespace interp {

@@ -16,45 +16,23 @@ void run_me_rows(const PlaneU8& cur, const PlaneU8& ref, int mb_width,
                   "reference border " << ref.border()
                                       << " too small for search range " << r);
 
-  const SadGrid16Fn kernel = sad_grid_16x16_kernel(params.tier);
+  SimdTier tier;
+  const SadGrid16Fn kernel = sad_grid_16x16_kernel(params.tier, &tier);
+  // The AVX2 tier is the fused kernel wherever its range domain allows.
+  const bool fused = tier == SimdTier::kAvx2 && r >= kFusedFsbmMinRange &&
+                     r <= kFusedFsbmMaxRange;
   const std::ptrdiff_t cs = cur.stride();
   const std::ptrdiff_t rs = ref.stride();
 
   for (int mb_y = row_begin; mb_y < row_end; ++mb_y) {
     for (int mb_x = 0; mb_x < mb_width; ++mb_x) {
       const u8* cur_mb = cur.row(mb_y * kMbSize) + mb_x * kMbSize;
-      MbMotion& out = field[mb_y * mb_width + mb_x];
-
-      u32 best_cost[kEntriesPerMb];
-      Mv best_mv[kEntriesPerMb];
-      for (int k = 0; k < kEntriesPerMb; ++k) best_cost[k] = kInvalidCost;
-
-      u16 grid[16];
-      u32 agg[kEntriesPerMb];
-      // Deterministic raster candidate order: ties keep the first (lowest
-      // dy, then dx) candidate, so the result is independent of how rows
-      // were distributed across devices. The range is inclusive on both
-      // ends — (2R+1)^2 candidates — so the search area is symmetric and
-      // matches the microbench's items accounting.
-      for (int dy = -r; dy <= r; ++dy) {
-        const u8* ref_row = ref.row(mb_y * kMbSize + dy) + mb_x * kMbSize;
-        for (int dx = -r; dx <= r; ++dx) {
-          kernel(cur_mb, cs, ref_row + dx, rs, grid);
-          aggregate_sad_grid(grid, agg);
-          const Mv mv{static_cast<i16>(dx * kSubPel),
-                      static_cast<i16>(dy * kSubPel)};
-          for (int k = 0; k < kEntriesPerMb; ++k) {
-            if (agg[k] < best_cost[k]) {
-              best_cost[k] = agg[k];
-              best_mv[k] = mv;
-            }
-          }
-        }
-      }
-
-      for (int k = 0; k < kEntriesPerMb; ++k) {
-        out.entries[k].cost = best_cost[k];
-        out.entries[k].mv = best_mv[k];
+      const u8* ref_mb = ref.row(mb_y * kMbSize) + mb_x * kMbSize;
+      MbMotion* out = &field[mb_y * mb_width + mb_x];
+      if (fused) {
+        fsbm_mb_avx2(cur_mb, cs, ref_mb, rs, r, out);
+      } else {
+        fsbm_mb(kernel, cur_mb, cs, ref_mb, rs, r, out);
       }
     }
   }

@@ -24,6 +24,8 @@ using MotionField = std::vector<MbMotion>;
 struct MeParams {
   /// Candidates in [-R, +R] both axes, inclusive: (2R+1) x (2R+1) per MB.
   int search_range = 16;
+  /// KernelId::kSadGrid tier. kAvx2 runs the fused kernel (fsbm_mb_avx2);
+  /// the other tiers run the per-candidate loop with their grid kernel.
   SimdTier tier = SimdTier::kAuto;
 };
 

@@ -1,6 +1,8 @@
 #include "codec/sad.hpp"
 
-#include <cstdlib>
+#include "common/check.hpp"
+
+#include <array>
 
 namespace feves {
 
@@ -26,32 +28,23 @@ void sad_grid_scalar(const u8* cur, std::ptrdiff_t cur_stride, const u8* ref,
   }
 }
 
-/// Blocked tier: walks each 16-wide pixel row once and accumulates into the
-/// four horizontally adjacent sub-block bins. The fixed-trip-count inner
-/// loop over 16 contiguous bytes auto-vectorizes (PSADBW-class codegen with
-/// -march=native); memory is touched strictly row-linearly.
-void sad_grid_blocked(const u8* cur, std::ptrdiff_t cur_stride, const u8* ref,
-                      std::ptrdiff_t ref_stride, u16 out[16]) {
-  for (int by = 0; by < 4; ++by) {
-    u32 acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-    for (int y = 0; y < 4; ++y) {
-      const u8* c = cur + (by * 4 + y) * cur_stride;
-      const u8* r = ref + (by * 4 + y) * ref_stride;
-      u16 d[16];
-      for (int x = 0; x < 16; ++x) {
-        d[x] = static_cast<u16>(abs_diff(c[x], r[x]));
-      }
-      acc0 += static_cast<u32>(d[0]) + d[1] + d[2] + d[3];
-      acc1 += static_cast<u32>(d[4]) + d[5] + d[6] + d[7];
-      acc2 += static_cast<u32>(d[8]) + d[9] + d[10] + d[11];
-      acc3 += static_cast<u32>(d[12]) + d[13] + d[14] + d[15];
-    }
-    out[by * 4 + 0] = static_cast<u16>(acc0);
-    out[by * 4 + 1] = static_cast<u16>(acc1);
-    out[by * 4 + 2] = static_cast<u16>(acc2);
-    out[by * 4 + 3] = static_cast<u16>(acc3);
+/// Scalar probe batch: the generic oracle once per candidate.
+template <int W, int H>
+void probe_scalar(const u8* cur, std::ptrdiff_t cur_stride,
+                  const u8* const* cands, std::ptrdiff_t ref_stride,
+                  int count, u32* sads) {
+  for (int i = 0; i < count; ++i) {
+    sads[i] = sad_block_scalar(cur, cur_stride, cands[i], ref_stride, W, H);
   }
 }
+
+/// Probe batches per partition shape, in kPartitionGeometry order.
+using ProbeTable = std::array<SadProbeFn, kNumPartitionModes>;
+
+constexpr ProbeTable kScalarProbes = {
+    &probe_scalar<16, 16>, &probe_scalar<16, 8>, &probe_scalar<8, 16>,
+    &probe_scalar<8, 8>,   &probe_scalar<8, 4>,  &probe_scalar<4, 8>,
+    &probe_scalar<4, 4>};
 
 }  // namespace
 
@@ -67,15 +60,15 @@ void sad_grid_avx2(const u8* cur, std::ptrdiff_t cur_stride, const u8* ref,
                    std::ptrdiff_t ref_stride, u16 out[16]);
 u32 sad_block_avx2(const u8* a, std::ptrdiff_t stride_a, const u8* b,
                    std::ptrdiff_t stride_b, int width, int height);
+const std::array<SadProbeFn, kNumPartitionModes>& sad_probes_sse2();
 
 SadGrid16Fn sad_grid_16x16_kernel(SimdTier tier, SimdTier* resolved) {
   const SimdTier got = resolve_tier(KernelId::kSadGrid, tier);
   if (resolved != nullptr) *resolved = got;
   switch (got) {
     case SimdTier::kScalar:
+    case SimdTier::kBlocked:  // no blocked grid: it ran slower than scalar
       return &sad_grid_scalar;
-    case SimdTier::kBlocked:
-      return &sad_grid_blocked;
     case SimdTier::kSse2:
       return &sad_grid_simd;
     case SimdTier::kAvx2:
@@ -118,10 +111,21 @@ SadBlockFn sad_block_kernel(SimdTier tier, SimdTier* resolved) {
   return &sad_block_scalar;
 }
 
-u32 sad_block(const u8* a, std::ptrdiff_t stride_a, const u8* b,
-              std::ptrdiff_t stride_b, int width, int height) {
-  static const SadBlockFn kFn = sad_block_kernel(SimdTier::kAuto);
-  return kFn(a, stride_a, b, stride_b, width, height);
+SadProbeFn sad_probe_kernel(SimdTier tier, int width, int height,
+                            SimdTier* resolved) {
+  const SimdTier got = resolve_tier(KernelId::kSadBlock, tier);
+  if (resolved != nullptr) *resolved = got;
+  const bool vec = got == SimdTier::kSse2 || got == SimdTier::kAvx2;
+  const ProbeTable& table = vec ? sad_probes_sse2() : kScalarProbes;
+  int m = 0;
+  while (m < kNumPartitionModes && (kPartitionGeometry[m].block_w != width ||
+                                    kPartitionGeometry[m].block_h != height)) {
+    ++m;
+  }
+  FEVES_CHECK_MSG(m < kNumPartitionModes,
+                  "no probe kernel for a " << width << "x" << height
+                                           << " block");
+  return table[m];
 }
 
 void aggregate_sad_grid(const u16 grid[16], u32 out[kEntriesPerMb]) {
@@ -171,6 +175,44 @@ void aggregate_sad_grid(const u16 grid[16], u32 out[kEntriesPerMb]) {
   // 16x16 (mode 0): everything.
   out[kModeOffset[static_cast<int>(PartitionMode::k16x16)]] =
       out[off16x8 + 0] + out[off16x8 + 1];
+}
+
+
+void fsbm_mb(SadGrid16Fn kernel, const u8* cur, std::ptrdiff_t cur_stride,
+             const u8* ref, std::ptrdiff_t ref_stride, int range,
+             MbMotion* out) {
+  const int r = range;
+  u32 best_cost[kEntriesPerMb];
+  Mv best_mv[kEntriesPerMb];
+  for (int k = 0; k < kEntriesPerMb; ++k) best_cost[k] = kInvalidCost;
+
+  u16 grid[16];
+  u32 agg[kEntriesPerMb];
+  // Deterministic raster candidate order: ties keep the first (lowest dy,
+  // then dx) candidate, so the result is independent of how rows were
+  // distributed across devices. The range is inclusive on both ends —
+  // (2R+1)^2 candidates — so the search area is symmetric and matches the
+  // microbench's items accounting.
+  for (int dy = -r; dy <= r; ++dy) {
+    const u8* ref_row = ref + dy * ref_stride;
+    for (int dx = -r; dx <= r; ++dx) {
+      kernel(cur, cur_stride, ref_row + dx, ref_stride, grid);
+      aggregate_sad_grid(grid, agg);
+      const Mv mv{static_cast<i16>(dx * kSubPel),
+                  static_cast<i16>(dy * kSubPel)};
+      for (int k = 0; k < kEntriesPerMb; ++k) {
+        if (agg[k] < best_cost[k]) {
+          best_cost[k] = agg[k];
+          best_mv[k] = mv;
+        }
+      }
+    }
+  }
+
+  for (int k = 0; k < kEntriesPerMb; ++k) {
+    out->entries[k].cost = best_cost[k];
+    out->entries[k].mv = best_mv[k];
+  }
 }
 
 }  // namespace feves

@@ -6,6 +6,9 @@
 // the scalar tier and the registry never selects them.
 #include "codec/sad.hpp"
 
+#include <array>
+#include <cstring>
+
 #if defined(__x86_64__) || defined(_M_X64)
 #define FEVES_CAN_SSE2 1
 #include <emmintrin.h>
@@ -26,6 +29,54 @@ inline __m128i absdiff_u8(__m128i a, __m128i b) {
 inline u32 hsum_sad(__m128i acc) {
   return static_cast<u32>(_mm_cvtsi128_si64(acc)) +
          static_cast<u32>(_mm_cvtsi128_si64(_mm_unpackhi_epi64(acc, acc)));
+}
+
+inline __m128i load32(const u8* p) {
+  int v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return _mm_cvtsi32_si128(v);
+}
+
+/// 16 / W rows of a W-wide block packed into one register, reading exactly
+/// W bytes per row: one 16-wide row, two 8-wide rows, or four 4-wide rows.
+template <int W>
+inline __m128i pack_rows(const u8* p, std::ptrdiff_t stride) {
+  if constexpr (W == 16) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  } else if constexpr (W == 8) {
+    return _mm_unpacklo_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)),
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p + stride)));
+  } else {
+    static_assert(W == 4, "partition blocks are 4, 8 or 16 wide");
+    return _mm_unpacklo_epi64(
+        _mm_unpacklo_epi32(load32(p), load32(p + stride)),
+        _mm_unpacklo_epi32(load32(p + 2 * stride), load32(p + 3 * stride)));
+  }
+}
+
+/// Fixed-shape probe batch: the current block is packed into registers once
+/// and each candidate costs H * W / 16 PSADBWs.
+template <int W, int H>
+void probe_sse2(const u8* cur, std::ptrdiff_t cur_stride,
+                const u8* const* cands, std::ptrdiff_t ref_stride, int count,
+                u32* sads) {
+  constexpr int kRowsPerReg = 16 / W;
+  constexpr int kRegs = H / kRowsPerReg;
+  __m128i c[kRegs];
+  for (int i = 0; i < kRegs; ++i) {
+    c[i] = pack_rows<W>(cur + i * kRowsPerReg * cur_stride, cur_stride);
+  }
+  for (int n = 0; n < count; ++n) {
+    const u8* p = cands[n];
+    __m128i acc = _mm_sad_epu8(c[0], pack_rows<W>(p, ref_stride));
+    for (int i = 1; i < kRegs; ++i) {
+      acc = _mm_add_epi64(
+          acc, _mm_sad_epu8(c[i], pack_rows<W>(p + i * kRowsPerReg * ref_stride,
+                                               ref_stride)));
+    }
+    sads[n] = hsum_sad(acc);
+  }
 }
 
 }  // namespace
@@ -104,8 +155,8 @@ u32 sad_block_simd(const u8* a, std::ptrdiff_t stride_a, const u8* b,
 
 void sad_grid_simd(const u8* cur, std::ptrdiff_t cur_stride, const u8* ref,
                    std::ptrdiff_t ref_stride, u16 out[16]) {
-  sad_grid_16x16_kernel(SimdTier::kBlocked)(cur, cur_stride, ref, ref_stride,
-                                            out);
+  sad_grid_16x16_kernel(SimdTier::kScalar)(cur, cur_stride, ref, ref_stride,
+                                           out);
 }
 
 u32 sad_block_simd(const u8* a, std::ptrdiff_t stride_a, const u8* b,
@@ -113,6 +164,28 @@ u32 sad_block_simd(const u8* a, std::ptrdiff_t stride_a, const u8* b,
   return sad_block_scalar(a, stride_a, b, stride_b, width, height);
 }
 
+namespace {
+
+template <int W, int H>
+void probe_sse2(const u8* cur, std::ptrdiff_t cur_stride,
+                const u8* const* cands, std::ptrdiff_t ref_stride, int count,
+                u32* sads) {
+  for (int i = 0; i < count; ++i) {
+    sads[i] = sad_block_scalar(cur, cur_stride, cands[i], ref_stride, W, H);
+  }
+}
+
+}  // namespace
+
 #endif
+
+/// SSE2 probe batches per partition shape, in kPartitionGeometry order.
+const std::array<SadProbeFn, kNumPartitionModes>& sad_probes_sse2() {
+  static constexpr std::array<SadProbeFn, kNumPartitionModes> kProbes = {
+      &probe_sse2<16, 16>, &probe_sse2<16, 8>, &probe_sse2<8, 16>,
+      &probe_sse2<8, 8>,   &probe_sse2<8, 4>,  &probe_sse2<4, 8>,
+      &probe_sse2<4, 4>};
+  return kProbes;
+}
 
 }  // namespace feves

@@ -5,24 +5,6 @@
 
 namespace feves {
 
-namespace {
-
-/// Pointer to the SF sample at quarter-pel position (qy, qx) anchored at
-/// integer pixel (y0, x0): the integer part selects the row/column of the
-/// phase plane, the fractional part selects the plane.
-inline const u8* subpel_ptr(const SubPelFrame& sf, int y0, int x0, int qy,
-                            int qx, std::ptrdiff_t* stride) {
-  const int iy = qy >> 2;  // arithmetic shift: floor for negatives
-  const int ix = qx >> 2;
-  const int py = qy & 3;
-  const int px = qx & 3;
-  const PlaneU8& plane = sf.phase(py, px);
-  *stride = plane.stride();
-  return plane.row(y0 + iy) + (x0 + ix);
-}
-
-}  // namespace
-
 void run_sme_rows(const PlaneU8& cur, const SubPelFrame& sf, int mb_width,
                   int row_begin, int row_end, const SmeParams& params,
                   MbMotion* field) {
@@ -33,6 +15,29 @@ void run_sme_rows(const PlaneU8& cur, const SubPelFrame& sf, int mb_width,
   const int r = params.refine_range;
   FEVES_CHECK(r >= 0 && r <= 3);
 
+  // Phase-plane origins: quarter-pel position (qy, qx) from integer pixel
+  // (y0, x0) is sample (y0 + (qy >> 2), x0 + (qx >> 2)) of phase
+  // (qy & 3, qx & 3) — arithmetic shifts floor negative offsets. All phases
+  // share one geometry.
+  const std::ptrdiff_t stride = sf.phases[0].stride();
+  const u8* origin[kSubPel * kSubPel];
+  for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
+    FEVES_CHECK(sf.phases[ph].stride() == stride);
+    origin[ph] = sf.phases[ph].row(0);
+  }
+
+  const SimdTier tier = resolve_tier(KernelId::kSadBlock, params.tier);
+  SadProbeFn probe[kNumPartitionModes];
+  for (int m = 0; m < kNumPartitionModes; ++m) {
+    probe[m] = sad_probe_kernel(tier, kPartitionGeometry[m].block_w,
+                                kPartitionGeometry[m].block_h);
+  }
+
+  constexpr int kMaxProbes = 7 * 7;  // refine_range <= 3
+  const int side = 2 * r + 1;
+  const int count = side * side;
+  const u8* cands[kMaxProbes];
+  u32 sads[kMaxProbes];
   for (int mb_y = row_begin; mb_y < row_end; ++mb_y) {
     for (int mb_x = 0; mb_x < mb_width; ++mb_x) {
       MbMotion& mb = field[mb_y * mb_width + mb_x];
@@ -44,29 +49,31 @@ void run_sme_rows(const PlaneU8& cur, const SubPelFrame& sf, int mb_width,
           block_origin(mode, b, &bx0, &by0);
           const int px0 = mb_x * kMbSize + bx0;
           const int py0 = mb_y * kMbSize + by0;
-          const u8* cur_blk = cur.row(py0) + px0;
 
+          // Probes in raster (dqy, dqx) order over [-r, r]^2.
           MotionEntry& entry = mb.entry(mode, b);
           const Mv base = entry.mv;
-          u32 best_cost = kInvalidCost;
-          Mv best_mv = base;
-
+          int n = 0;
           for (int dqy = -r; dqy <= r; ++dqy) {
+            const int qy = base.y + dqy;
+            const std::ptrdiff_t row = (py0 + (qy >> 2)) * stride + px0;
+            const u8* const* phase_row = origin + (qy & 3) * kSubPel;
             for (int dqx = -r; dqx <= r; ++dqx) {
               const int qx = base.x + dqx;
-              const int qy = base.y + dqy;
-              std::ptrdiff_t stride;
-              const u8* ref_blk = subpel_ptr(sf, py0, px0, qy, qx, &stride);
-              const u32 cost = sad_block(cur_blk, cur.stride(), ref_blk,
-                                         stride, g.block_w, g.block_h);
-              if (cost < best_cost) {
-                best_cost = cost;
-                best_mv = Mv{static_cast<i16>(qx), static_cast<i16>(qy)};
-              }
+              cands[n++] = phase_row[qx & 3] + row + (qx >> 2);
             }
           }
-          entry.mv = best_mv;
-          entry.cost = best_cost;
+          probe[mode_i](cur.row(py0) + px0, cur.stride(), cands, stride,
+                        count, sads);
+
+          // First minimum wins ties, as in the per-probe loop.
+          int best = 0;
+          for (int i = 1; i < count; ++i) {
+            if (sads[i] < sads[best]) best = i;
+          }
+          entry.mv = Mv{static_cast<i16>(base.x + best % side - r),
+                        static_cast<i16>(base.y + best / side - r)};
+          entry.cost = sads[best];
         }
       }
     }

@@ -15,6 +15,8 @@ struct SmeParams {
   /// (dqx,dqy) in [-r, r]^2, so r=2 covers the half-pel ring plus the
   /// nearest quarter-pel ring).
   int refine_range = 2;
+  /// KernelId::kSadBlock tier of the probes (sad_probe_kernel).
+  SimdTier tier = SimdTier::kAuto;
 };
 
 /// Refines MB rows [row_begin, row_end) of `field` in place. `sf` must be

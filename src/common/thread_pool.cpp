@@ -40,21 +40,34 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
 
 void ThreadPool::parallel_for(int begin, int end,
                               const std::function<void(int)>& fn) {
+  parallel_for(begin, end, fn, nullptr);
+}
+
+void ThreadPool::parallel_for(int begin, int end,
+                              const std::function<void(int)>& fn,
+                              const std::function<void(int)>& on_claim) {
   if (begin >= end) return;
   const int total = end - begin;
   const int parts = std::min<int>(total, static_cast<int>(size()) + 1);
   const int chunk = ceil_div(total, parts);
 
   std::atomic<int> next{begin};
-  std::atomic<bool> failed{false};
-  std::exception_ptr first_error;
-  int first_error_chunk = end;  // chunk start of the stored error
+  // Chunks starting at or past `stop` are abandoned. It only decreases: to
+  // the start of each new lowest throwing chunk, or to `begin` when a
+  // helper could not be submitted.
+  std::atomic<int> stop{end};
+  std::exception_ptr first_error;  // from the lowest throwing chunk
   std::mutex error_mutex;
 
   auto drain = [&] {
+    // Claims come in increasing order, so the first claim at or past
+    // `stop` ends this participant. A claimed chunk below `stop` always
+    // runs, even when a higher chunk has already failed: it may hold the
+    // lowest error.
     for (;;) {
       const int lo = next.fetch_add(chunk);
-      if (lo >= end || failed.load(std::memory_order_relaxed)) break;
+      if (on_claim) on_claim(lo);
+      if (lo >= stop.load()) break;
       const int hi = std::min(end, lo + chunk);
       try {
         for (int i = lo; i < hi; ++i) fn(i);
@@ -62,12 +75,10 @@ void ThreadPool::parallel_for(int begin, int end,
         std::lock_guard lock(error_mutex);
         // Deterministic winner: the lowest-indexed chunk that threw,
         // not whichever worker reaches this lock first.
-        if (lo < first_error_chunk) {
-          first_error_chunk = lo;
+        if (lo < stop.load()) {
+          stop.store(lo);
           first_error = std::current_exception();
         }
-        failed.store(true, std::memory_order_relaxed);
-        break;
       }
     }
   };
@@ -82,7 +93,8 @@ void ThreadPool::parallel_for(int begin, int end,
     for (int p = 1; p < parts; ++p) futs.push_back(submit(drain));
   } catch (...) {
     submit_error = std::current_exception();
-    failed.store(true, std::memory_order_relaxed);  // stop in-flight drains
+    std::lock_guard lock(error_mutex);
+    stop.store(begin);  // stop in-flight drains
   }
   if (!submit_error) drain();  // The caller participates instead of idling.
   for (auto& f : futs) f.wait();

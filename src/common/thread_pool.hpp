@@ -31,12 +31,21 @@ class ThreadPool {
   /// thread; returns when every index has been processed. Indices are
   /// chunked contiguously so MB rows processed by one worker stay adjacent
   /// in memory (same locality the paper's row-sliced kernels rely on).
-  /// If fn throws, remaining chunks are abandoned, every in-flight worker
-  /// is joined before unwinding, and the error from the lowest-indexed
-  /// throwing chunk is rethrown (deterministic across runs).
+  /// If fn throws, chunks past the lowest throwing chunk are abandoned,
+  /// every in-flight worker is joined before unwinding, and the error from
+  /// the lowest-indexed throwing chunk is rethrown (deterministic across
+  /// runs: every chunk below it still runs).
   void parallel_for(int begin, int end, const std::function<void(int)>& fn);
 
  private:
+  friend class ThreadPoolTestPeer;
+
+  /// parallel_for with `on_claim(lo)` called after a participant claims the
+  /// chunk starting at `lo` and before it decides whether to run it — the
+  /// seam tests use to force claim/failure interleavings.
+  void parallel_for(int begin, int end, const std::function<void(int)>& fn,
+                    const std::function<void(int)>& on_claim);
+
   void worker_loop();
 
   std::vector<std::thread> workers_;

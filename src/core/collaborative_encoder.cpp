@@ -26,6 +26,11 @@ CollaborativeEncoder::CollaborativeEncoder(const EncoderConfig& cfg,
       mirrors_(static_cast<std::size_t>(topo.num_devices())),
       mirror_stale_(static_cast<std::size_t>(topo.num_devices()), false),
       staged_(static_cast<std::size_t>(topo.num_devices())) {
+  // Tiers are fixed for the encoder's life, so the per-kernel report is too.
+  for (const KernelTierChoice& k : kernel_tier_report(tier_)) {
+    kernel_tiers_.push_back(
+        {kernel_name(k.id), tier_name(k.requested), tier_name(k.resolved)});
+  }
   cfg_.validate();
   topo_.validate();
   rf_holder_ = topo_.cpu_index() >= 0 ? topo_.cpu_index() : 0;
@@ -97,7 +102,7 @@ FrameStats CollaborativeEncoder::encode_frame(const Frame420& cur,
     // Bootstrap I frame: host-only (paper Fig 1's intra path; the inter
     // loop under study starts at frame 1).
     Timer t;
-    intra_frame(job);
+    intra_frame(job, tier_);
     stats.total_ms = t.elapsed_ms();
     stats.active_refs = 0;
   } else {
@@ -286,10 +291,7 @@ FrameStats CollaborativeEncoder::encode_frame(const Frame420& cur,
       // Surface the per-kernel SIMD tier the frame's pixel kernels ran at
       // (requested vs. registry-resolved) — and mark it in the trace once
       // per session, so a capture is self-describing about the ISA level.
-      for (const KernelTierChoice& k : kernel_tier_report(tier_)) {
-        stats.telemetry.kernel_tiers.push_back(
-            {kernel_name(k.id), tier_name(k.requested), tier_name(k.resolved)});
-      }
+      stats.telemetry.kernel_tiers = kernel_tiers_;
       if (trace != nullptr && !tiers_traced_) {
         tiers_traced_ = true;
         for (const obs::KernelTierInfo& k : stats.telemetry.kernel_tiers) {

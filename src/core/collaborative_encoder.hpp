@@ -93,6 +93,8 @@ class CollaborativeEncoder {
   PipelineSlot slot_;
   /// Per-device prestaged mirror buffers (the pipeline's double buffer).
   std::vector<MirrorStage> staged_;
+  /// Requested -> resolved kernel tiers, copied into each frame's telemetry.
+  std::vector<obs::KernelTierInfo> kernel_tiers_;
   /// Kernel-tier marks are emitted into the trace once per session.
   bool tiers_traced_ = false;
 };

@@ -219,13 +219,14 @@ OpPayload RealBackend::op_sme(int device, RowInterval rows) {
   if (!is_accel(device)) {
     return {0.0, 0.0, [this, rows] {
               ensure_sf_assembled();
-              sme_rows(job_, rows.begin, rows.end);
+              sme_rows(job_, rows.begin, rows.end, tier_);
             }};
   }
   return {0.0, 0.0, [this, device, rows] {
             DeviceMirror& m = mirrors_[device];
             SmeParams params;
             params.refine_range = job_.cfg->subpel_refine_range;
+            params.tier = tier_;
             // SF completion (σ) and MC prefetch stream on the copy lane
             // concurrently with this kernel, writing payload rows outside
             // the staged SME halo — so only extend a vertical border this

@@ -77,7 +77,7 @@ TEST_P(SadTierParity, AllTiersMatchScalar) {
                                            b.ref.data() + GetParam() % 7,
                                            Buffers::kStride, g_scalar);
   for (SimdTier tier :
-       {SimdTier::kBlocked, SimdTier::kSimd, SimdTier::kAuto}) {
+       {SimdTier::kBlocked, SimdTier::kSse2, SimdTier::kAuto}) {
     sad_grid_16x16_kernel(tier)(b.cur.data(), Buffers::kStride,
                                 b.ref.data() + GetParam() % 7,
                                 Buffers::kStride, g_other);
@@ -94,8 +94,9 @@ TEST_P(SadTierParity, SimdBlockSadMatchesScalarAllShapes) {
     // Unaligned base pointers exercise the loadu paths.
     const u8* pa = b.cur.data() + GetParam() % 5;
     const u8* pb = b.ref.data() + GetParam() % 3;
-    EXPECT_EQ(sad_block(pa, Buffers::kStride, pb, Buffers::kStride,
-                        g.block_w, g.block_h),
+    EXPECT_EQ(sad_block_kernel(SimdTier::kAuto)(pa, Buffers::kStride, pb,
+                                                Buffers::kStride, g.block_w,
+                                                g.block_h),
               sad_block_scalar(pa, Buffers::kStride, pb, Buffers::kStride,
                                g.block_w, g.block_h))
         << "mode " << mode_i;
@@ -108,8 +109,9 @@ TEST(SadBlock, MatchesNaiveOnAllPartitionShapes) {
   Buffers b(5);
   for (int mode_i = 0; mode_i < kNumPartitionModes; ++mode_i) {
     const auto& g = kPartitionGeometry[mode_i];
-    const u32 got = sad_block(b.cur.data(), Buffers::kStride, b.ref.data(),
-                              Buffers::kStride, g.block_w, g.block_h);
+    const u32 got = sad_block_kernel(SimdTier::kAuto)(
+        b.cur.data(), Buffers::kStride, b.ref.data(), Buffers::kStride,
+        g.block_w, g.block_h);
     const u32 expect = naive_sad(b.cur.data(), Buffers::kStride, b.ref.data(),
                                  Buffers::kStride, g.block_w, g.block_h);
     EXPECT_EQ(got, expect) << "mode " << mode_i;

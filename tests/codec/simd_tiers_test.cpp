@@ -8,7 +8,9 @@
 //
 // run_sanitized.sh runs this suite under ASan/UBSan, once as-is and once
 // with FEVES_CPU_CAP=sse2, so the AVX2 paths' loads and the degraded
-// dispatch ladder both get sanitizer coverage.
+// dispatch ladder both get sanitizer coverage. The fused-ME and SME-probe
+// footprint cases run their kernels on heap buffers of exactly the bytes
+// the scalar oracle reads, so ASan flags any load past them.
 
 #include "codec/deblock.hpp"
 #include "codec/interpolate.hpp"
@@ -16,6 +18,7 @@
 #include "codec/mc.hpp"
 #include "codec/me.hpp"
 #include "codec/sad.hpp"
+#include "codec/sme.hpp"
 #include "codec/transform.hpp"
 #include "common/cpu_features.hpp"
 #include "common/rng.hpp"
@@ -318,6 +321,164 @@ TEST(SimdTiers, MeSearchRangeIsInclusive) {
     EXPECT_EQ(e.mv.x, 4 * r) << "tier " << tier_name(t);
     EXPECT_EQ(e.mv.y, 4 * r) << "tier " << tier_name(t);
     EXPECT_EQ(e.cost, 0u) << "tier " << tier_name(t);
+  }
+}
+
+/// Fills the interior with values in [0, levels) and extends the border.
+/// Few levels make equal-cost candidates (ties) common; one level makes
+/// every candidate tie.
+void fill_levels(PlaneU8& p, int levels, u64 seed) {
+  Rng rng(seed);
+  for (int y = 0; y < p.height(); ++y) {
+    for (int x = 0; x < p.width(); ++x) {
+      p.at(y, x) = static_cast<u8>(rng.uniform_int(0, levels - 1) *
+                                   (255 / std::max(1, levels - 1)));
+    }
+  }
+  p.extend_borders();
+}
+
+void expect_same_field(const MotionField& want, const MotionField& got,
+                       const std::string& what) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t mb = 0; mb < want.size(); ++mb) {
+    for (int k = 0; k < kEntriesPerMb; ++k) {
+      const MotionEntry& a = want[mb].entries[k];
+      const MotionEntry& b = got[mb].entries[k];
+      ASSERT_TRUE(a.cost == b.cost && a.mv == b.mv)
+          << what << " mb " << mb << " entry " << k << ": want cost "
+          << a.cost << " mv (" << a.mv.x << "," << a.mv.y << "), got cost "
+          << b.cost << " mv (" << b.mv.x << "," << b.mv.y << ")";
+    }
+  }
+}
+
+TEST(SimdTiers, FusedMeMatchesScalarEveryRange) {
+  // Every range 0..20: below the fused minimum (per-candidate loop), 8-lane
+  // chunks (2r+1 < 16), 16-lane chunks with a pulled-back last chunk
+  // (2r+1 = 17 and non-multiples of 16). A 3x3-MB frame puts macroblocks on
+  // all four frame edges, and the reference border is exactly r + 16, the
+  // documented minimum. Level counts 256 (random), 4 and 2 (frequent ties)
+  // and 1 (flat: every candidate ties) over several seeds.
+  const int w = 48, h = 48;
+  for (int r = 0; r <= 20; ++r) {
+    for (int levels : {256, 4, 2, 1}) {
+      for (u64 seed = 1; seed <= 3; ++seed) {
+        PlaneU8 cur(w, h, r + kMbSize), ref(w, h, r + kMbSize);
+        fill_levels(cur, levels, seed * 1000 + static_cast<u64>(r));
+        fill_levels(ref, levels, seed * 2000 + static_cast<u64>(r));
+        MeParams params;
+        params.search_range = r;
+        params.tier = SimdTier::kScalar;
+        MotionField want(static_cast<std::size_t>((w / 16) * (h / 16)));
+        run_me_rows(cur, ref, w / 16, 0, h / 16, params, want.data());
+        for (SimdTier t : kAllTiers) {
+          if (t == SimdTier::kScalar) continue;
+          params.tier = t;
+          MotionField got(want.size());
+          run_me_rows(cur, ref, w / 16, 0, h / 16, params, got.data());
+          expect_same_field(want, got,
+                            std::string("tier ") + tier_name(t) + " r " +
+                                std::to_string(r) + " levels " +
+                                std::to_string(levels) + " seed " +
+                                std::to_string(seed));
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTiers, FusedMeReadsOnlyTheOracleFootprint) {
+  if (!cpu_features().avx2) GTEST_SKIP() << "fused kernel needs AVX2";
+  // The reference is a heap buffer of exactly the (2r+16)^2 bytes the
+  // per-candidate loop reads, so an over-read shows under ASan.
+  Rng rng(77);
+  for (int r = kFusedFsbmMinRange; r <= 20; ++r) {
+    const int side = 2 * r + kMbSize;
+    std::vector<u8> cur(kMbSize * kMbSize), ref(side * side);
+    for (auto& v : cur) v = static_cast<u8>(rng.uniform_int(0, 255));
+    for (auto& v : ref) v = static_cast<u8>(rng.uniform_int(0, 255));
+    const u8* center = ref.data() + r * side + r;
+    MbMotion want, got;
+    fsbm_mb(sad_grid_16x16_kernel(SimdTier::kScalar), cur.data(), kMbSize,
+            center, side, r, &want);
+    fsbm_mb_avx2(cur.data(), kMbSize, center, side, r, &got);
+    expect_same_field({want}, {got}, "r " + std::to_string(r));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SimdTiers, SmeProbesMatchScalarEveryShapeAndRange) {
+  // All 7 partition shapes x refine ranges 0..3. Base vectors are random
+  // quarter-pel offsets, negative ones included, reaching up to 20 pixels
+  // into the 24-pixel border (a probe adds at most 3 quarter-pels).
+  const int w = 64, h = 48, border = 24;
+  const auto cur = random_plane(w, h, border, 920);
+  const auto ref = random_plane(w, h, border, 921);
+  SubPelFrame sf(w, h, border);
+  run_interpolation_rows(ref, 0, h / 16, sf, SimdTier::kScalar);
+  extend_subpel_borders(sf);
+  const int mbw = w / 16, mbh = h / 16;
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    MotionField base(static_cast<std::size_t>(mbw * mbh));
+    Rng rng(seed);
+    for (MbMotion& mb : base) {
+      for (MotionEntry& e : mb.entries) {
+        e.mv = Mv{static_cast<i16>(rng.uniform_int(-80, 80)),
+                  static_cast<i16>(rng.uniform_int(-80, 80))};
+      }
+    }
+    for (int range = 0; range <= 3; ++range) {
+      SmeParams params;
+      params.refine_range = range;
+      params.tier = SimdTier::kScalar;
+      MotionField want = base;
+      run_sme_rows(cur, sf, mbw, 0, mbh, params, want.data());
+      for (SimdTier t : kAllTiers) {
+        if (t == SimdTier::kScalar) continue;
+        params.tier = t;
+        MotionField got = base;
+        run_sme_rows(cur, sf, mbw, 0, mbh, params, got.data());
+        expect_same_field(want, got,
+                          std::string("tier ") + tier_name(t) + " range " +
+                              std::to_string(range) + " seed " +
+                              std::to_string(seed));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(SimdTiers, SmeProbesReadOnlyTheirBlocks) {
+  // Each candidate sits in its own heap buffer of exactly width x height
+  // bytes (stride = width), so a probe reading past its block shows under
+  // ASan; the values must match the scalar oracle.
+  Rng rng(78);
+  for (SimdTier t : kAllTiers) {
+    for (const PartitionGeometry& g : kPartitionGeometry) {
+      const std::size_t bytes = static_cast<std::size_t>(g.block_w) *
+                                static_cast<std::size_t>(g.block_h);
+      std::vector<u8> cur(bytes);
+      for (auto& v : cur) v = static_cast<u8>(rng.uniform_int(0, 255));
+      std::vector<std::vector<u8>> blocks(9, std::vector<u8>(bytes));
+      std::vector<const u8*> cands;
+      for (auto& b : blocks) {
+        for (auto& v : b) v = static_cast<u8>(rng.uniform_int(0, 255));
+        cands.push_back(b.data());
+      }
+      u32 got[9];
+      sad_probe_kernel(t, g.block_w, g.block_h)(cur.data(), g.block_w,
+                                                cands.data(), g.block_w, 9,
+                                                got);
+      for (int i = 0; i < 9; ++i) {
+        ASSERT_EQ(got[i],
+                  sad_block_scalar(cur.data(), g.block_w, cands[i], g.block_w,
+                                   g.block_w, g.block_h))
+            << "tier " << tier_name(t) << " " << g.block_w << "x"
+            << g.block_h << " probe " << i;
+      }
+    }
   }
 }
 

@@ -3,12 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace feves {
+
+/// Reaches ThreadPool's claim-hooked parallel_for.
+class ThreadPoolTestPeer {
+ public:
+  static void parallel_for(ThreadPool& pool, int begin, int end,
+                           const std::function<void(int)>& fn,
+                           const std::function<void(int)>& on_claim) {
+    pool.parallel_for(begin, end, fn, on_claim);
+  }
+};
+
 namespace {
 
 TEST(ThreadPool, ZeroThreadsClampedToOne) {
@@ -118,6 +132,42 @@ TEST(ThreadPool, ParallelForRethrowsDeterministicFirstError) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "10") << "round " << round;
     }
+  }
+}
+
+// Regression: a participant that has claimed the lowest chunk must still
+// run it when a higher chunk fails between that claim and its run decision
+// — the interleaving that made the "lowest-chunk error" depend on timing.
+// A latch keyed on chunk index forces it every round: the claimer of chunk
+// 0 waits until the participant that ran chunk 1 has recorded its error and
+// claimed again (it claims past the range only after the catch).
+TEST(ThreadPool, ParallelForRunsLowChunkClaimedBeforeHigherFailure) {
+  ThreadPool pool(1);  // caller + one worker: chunks {0} and {1}
+  for (int round = 0; round < 20; ++round) {
+    std::mutex m;
+    std::condition_variable cv;
+    bool higher_failed = false;
+    bool timed_out = false;
+    const auto on_claim = [&](int lo) {
+      std::unique_lock lock(m);
+      if (lo == 0) {
+        timed_out = !cv.wait_for(lock, std::chrono::seconds(30),
+                                 [&] { return higher_failed; });
+      } else if (lo >= 2) {
+        higher_failed = true;
+        cv.notify_all();
+      }
+    };
+    try {
+      ThreadPoolTestPeer::parallel_for(
+          pool, 0, 2,
+          [](int i) { throw std::runtime_error(std::to_string(i)); },
+          on_claim);
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "0") << "round " << round;
+    }
+    EXPECT_FALSE(timed_out) << "round " << round;
   }
 }
 

@@ -45,6 +45,8 @@ run_bounded "$BUILD/tests/test_core" --gtest_filter='FaultRecovery*:DeviceHealth
 # Kernel-registry oracle battery: the explicit SSE2/AVX2 tiers' loads and
 # stores under ASan/UBSan, then again with the CPU capped at SSE2 so the
 # degraded dispatch ladder (AVX2 request resolving down) is the path taken.
+# It includes the fused-ME and fixed-shape SME-probe cases, whose footprint
+# tests run the kernels on buffers of exactly the bytes the oracle reads.
 run_bounded "$BUILD/tests/test_codec" --gtest_filter='SimdTiers*'
 FEVES_CPU_CAP=sse2 \
   run_bounded "$BUILD/tests/test_codec" --gtest_filter='SimdTiers*'
