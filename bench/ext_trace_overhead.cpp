@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <vector>
 
 namespace {
 
@@ -82,11 +83,42 @@ double virtual_encode_ms(Mode mode, std::size_t* events) {
   return ms;
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+struct ModeTimes {
+  double base = 0.0;  ///< median wall ms per mode
+  double off = 0.0;
+  double on = 0.0;
+  std::size_t events = 0;  ///< events of the last enabled run
+};
+
+// Runs every mode once per repetition and rotates which mode goes first on
+// each repetition, so warm-up and host drift land on every mode alike
+// rather than always favouring the later ones; reports per-mode medians.
 template <typename F>
-double best_of(int reps, F&& run, Mode mode, std::size_t* events = nullptr) {
-  double best = run(mode, events);
-  for (int r = 1; r < reps; ++r) best = std::min(best, run(mode, events));
-  return best;
+ModeTimes interleaved(int reps, F&& run, const std::vector<Mode>& modes) {
+  std::vector<double> times[3];
+  ModeTimes out;
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t k = 0; k < modes.size(); ++k) {
+      const Mode mode = modes[(k + static_cast<std::size_t>(r)) % modes.size()];
+      std::size_t events = 0;
+      times[static_cast<int>(mode)].push_back(run(mode, &events));
+      if (mode == Mode::kEnabled) out.events = events;
+    }
+  }
+  const auto med = [&](Mode m) {
+    const auto& t = times[static_cast<int>(m)];
+    return t.empty() ? 0.0 : median(t);
+  };
+  out.base = med(Mode::kNoSession);
+  out.off = med(Mode::kDisabled);
+  out.on = med(Mode::kEnabled);
+  return out;
 }
 
 }  // namespace
@@ -100,19 +132,22 @@ int main(int argc, char** argv) {
     g_virtual_reps = 3;
   }
   print_header("Tracing overhead (real-mode encode wall time)",
-               "contract: enabled < 2%, disabled ~ 0% (SysNFF, CIF)");
+               "contract: enabled < 2%, disabled ~ 0% (SysNFF, CIF); "
+               "modes interleaved, order rotated per repetition, medians");
 
   real_encode_ms(Mode::kNoSession, nullptr);  // warm-up
 
-  const double base = best_of(g_real_reps, real_encode_ms, Mode::kNoSession);
-  const double off = best_of(g_real_reps, real_encode_ms, Mode::kDisabled);
-  std::size_t events = 0;
-  const double on =
-      best_of(g_real_reps, real_encode_ms, Mode::kEnabled, &events);
+  const ModeTimes real =
+      interleaved(g_real_reps, real_encode_ms,
+                  {Mode::kNoSession, Mode::kDisabled, Mode::kEnabled});
+  const double base = real.base;
+  const double off = real.off;
+  const double on = real.on;
+  const std::size_t events = real.events;
   const double off_pct = 100.0 * (off - base) / base;
   const double on_pct = 100.0 * (on - base) / base;
 
-  std::printf("%-22s  %-10s  %-9s\n", "mode", "wall [ms]", "overhead");
+  std::printf("%-22s  %-10s  %-9s\n", "mode", "median ms", "overhead");
   std::printf("%-22s  %-10.2f  %-9s\n", "no session", base, "--");
   std::printf("%-22s  %-10.2f  %+8.2f%%\n", "session, disabled", off, off_pct);
   std::printf("%-22s  %-10.2f  %+8.2f%%  (%zu events)\n", "session, enabled",
@@ -126,11 +161,11 @@ int main(int argc, char** argv) {
   print_header("Raw emission cost (virtual framework, DES in microseconds)",
                "absolute cost per traced event; the DES loop is too fast "
                "for a % contract");
-  const double vbase =
-      best_of(g_virtual_reps, virtual_encode_ms, Mode::kNoSession);
-  std::size_t vevents = 0;
-  const double von =
-      best_of(g_virtual_reps, virtual_encode_ms, Mode::kEnabled, &vevents);
+  const ModeTimes virt = interleaved(g_virtual_reps, virtual_encode_ms,
+                                     {Mode::kNoSession, Mode::kEnabled});
+  const double vbase = virt.base;
+  const double von = virt.on;
+  const std::size_t vevents = virt.events;
   const double ns_per_event =
       vevents > 0 ? 1e6 * (von - vbase) / static_cast<double>(vevents) : 0.0;
   std::printf("%d virtual frames: %.2f ms untraced, %.2f ms traced, "

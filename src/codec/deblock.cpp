@@ -2,8 +2,12 @@
 
 #include "codec/deblock_edge.hpp"
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 namespace feves {
 
@@ -40,6 +44,15 @@ int tc0_of(int index_a, int bs) {
 }
 
 inline u8 clip255(int v) { return static_cast<u8>(std::clamp(v, 0, 255)); }
+
+/// Busy-wait iterations before a wavefront waiter starts yielding its core.
+constexpr int kSpinsBeforeYield = 64;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
 
 }  // namespace
 
@@ -140,154 +153,247 @@ int boundary_strength(const Block4x4Info& a, const Block4x4Info& b) {
   return 0;
 }
 
+namespace {
+
+/// Per-call state shared by every MB of one plane's filtering pass.
+struct EdgeFilter {
+  int index_a = 0;
+  int alpha = 0;
+  int beta = 0;
+  bool vec = false;  ///< horizontal edges take the SSE2 edge kernel
+  int bw = 0;        ///< luma 4x4 block grid width
+  bool enabled() const { return alpha != 0 && beta != 0; }
+};
+
+EdgeFilter edge_filter(int mb_width, const DeblockParams& p) {
+  EdgeFilter f;
+  f.index_a = std::clamp(p.qp + p.alpha_offset, 0, 51);
+  const int index_b = std::clamp(p.qp + p.beta_offset, 0, 51);
+  f.alpha = kAlpha[f.index_a];
+  f.beta = kBeta[index_b];
+  const SimdTier tier = resolve_tier(KernelId::kDeblock, p.tier);
+  f.vec = tier == SimdTier::kSse2 || tier == SimdTier::kAvx2;
+  f.bw = mb_width * 4;
+  return f;
+}
+
+/// Filters the luma edges of MB (mb_x, mb_y): its left and inner vertical
+/// edges, then its top and inner horizontal edges (H.264 8.7). Touches
+/// pixels in columns [16x-4, 16x+15] x rows [16y-4, 16y+15] only.
+void deblock_luma_mb(const EdgeFilter& f, PlaneU8& luma,
+                     const Block4x4Info* blocks, int mb_x, int mb_y) {
+  const int alpha = f.alpha;
+  const int beta = f.beta;
+  const int bw = f.bw;
+  // Vertical edges (filtering horizontally across columns
+  // x = 16*mb_x + {0,4,8,12}); the x=0 edge needs a left neighbour MB.
+  // The taps run along the row itself, so these stay scalar.
+  for (int e = 0; e < 4; ++e) {
+    if (e == 0 && mb_x == 0) continue;
+    const int px = mb_x * kMbSize + e * 4;
+    for (int line = 0; line < kMbSize; ++line) {
+      const int py = mb_y * kMbSize + line;
+      const int bx = px / 4;
+      const int by = py / 4;
+      const int bs =
+          boundary_strength(blocks[by * bw + (bx - 1)], blocks[by * bw + bx]);
+      if (bs == 0) continue;
+      detail::filter_line(luma.row(py) + px, 1, bs, alpha, beta,
+                          tc0_of(f.index_a, bs));
+    }
+  }
+  // Horizontal edges (filtering vertically across rows
+  // y = 16*mb_y + {0,4,8,12}); the y=0 edge needs an above neighbour.
+  // The 16 columns are independent line filters: one vector edge call.
+  for (int e = 0; e < 4; ++e) {
+    if (e == 0 && mb_y == 0) continue;
+    const int py = mb_y * kMbSize + e * 4;
+    const int by = py / 4;
+    if (f.vec) {
+      alignas(16) i16 bs_lanes[16];
+      alignas(16) i16 tc0_lanes[16];
+      bool any = false;
+      for (int seg = 0; seg < 4; ++seg) {
+        const int bx = mb_x * 4 + seg;
+        const int bs = boundary_strength(blocks[(by - 1) * bw + bx],
+                                         blocks[by * bw + bx]);
+        const i16 t = static_cast<i16>(tc0_of(f.index_a, bs));
+        for (int k = 0; k < 4; ++k) {
+          bs_lanes[seg * 4 + k] = static_cast<i16>(bs);
+          tc0_lanes[seg * 4 + k] = t;
+        }
+        any = any || bs != 0;
+      }
+      if (!any) continue;
+      detail::filter_hedge_luma_simd(luma.row(py) + mb_x * kMbSize,
+                                     luma.stride(), bs_lanes, tc0_lanes,
+                                     alpha, beta);
+      continue;
+    }
+    for (int line = 0; line < kMbSize; ++line) {
+      const int px = mb_x * kMbSize + line;
+      const int bx = px / 4;
+      const int bs = boundary_strength(blocks[(by - 1) * bw + bx],
+                                       blocks[by * bw + bx]);
+      if (bs == 0) continue;
+      detail::filter_line(luma.row(py) + px, luma.stride(), bs, alpha, beta,
+                          tc0_of(f.index_a, bs));
+    }
+  }
+}
+
+/// Chroma counterpart of deblock_luma_mb: columns [8x-2, 8x+7] x rows
+/// [8y-2, 8y+7].
+void deblock_chroma_mb(const EdgeFilter& f, PlaneU8& chroma,
+                       const Block4x4Info* blocks, int mb_x, int mb_y) {
+  constexpr int kCMb = kMbSize / 2;
+  const int alpha = f.alpha;
+  const int beta = f.beta;
+  const int bw = f.bw;
+  // Vertical chroma edges at x = 8*mb_x + {0, 4}.
+  for (int e = 0; e < 2; ++e) {
+    if (e == 0 && mb_x == 0) continue;
+    const int cx = mb_x * kCMb + e * 4;
+    for (int line = 0; line < kCMb; ++line) {
+      const int cy = mb_y * kCMb + line;
+      // Co-located luma 4x4 blocks: chroma sample (cx, cy) maps to
+      // luma pixel (2cx, 2cy) -> block (cx/2, cy/2).
+      const int lbx = cx / 2;
+      const int lby = cy / 2;
+      const int bs = boundary_strength(blocks[lby * bw + (lbx - 1)],
+                                       blocks[lby * bw + lbx]);
+      if (bs == 0) continue;
+      detail::filter_chroma_line(chroma.row(cy) + cx, 1, bs, alpha, beta,
+                                 tc0_of(f.index_a, bs));
+    }
+  }
+  // Horizontal chroma edges at y = 8*mb_y + {0, 4}; the bs segments are
+  // 2 chroma columns wide (one co-located luma 4x4 block each).
+  for (int e = 0; e < 2; ++e) {
+    if (e == 0 && mb_y == 0) continue;
+    const int cy = mb_y * kCMb + e * 4;
+    const int lby = cy / 2;
+    if (f.vec) {
+      alignas(16) i16 bs_lanes[8];
+      alignas(16) i16 tc0_lanes[8];
+      bool any = false;
+      for (int seg = 0; seg < 4; ++seg) {
+        const int lbx = mb_x * 4 + seg;
+        const int bs = boundary_strength(blocks[(lby - 1) * bw + lbx],
+                                         blocks[lby * bw + lbx]);
+        const i16 t = static_cast<i16>(tc0_of(f.index_a, bs));
+        bs_lanes[seg * 2 + 0] = static_cast<i16>(bs);
+        bs_lanes[seg * 2 + 1] = static_cast<i16>(bs);
+        tc0_lanes[seg * 2 + 0] = t;
+        tc0_lanes[seg * 2 + 1] = t;
+        any = any || bs != 0;
+      }
+      if (!any) continue;
+      detail::filter_hedge_chroma_simd(chroma.row(cy) + mb_x * kCMb,
+                                       chroma.stride(), bs_lanes, tc0_lanes,
+                                       alpha, beta);
+      continue;
+    }
+    for (int line = 0; line < kCMb; ++line) {
+      const int cx = mb_x * kCMb + line;
+      const int lbx = cx / 2;
+      const int bs = boundary_strength(blocks[(lby - 1) * bw + lbx],
+                                       blocks[lby * bw + lbx]);
+      if (bs == 0) continue;
+      detail::filter_chroma_line(chroma.row(cy) + cx, chroma.stride(), bs,
+                                 alpha, beta, tc0_of(f.index_a, bs));
+    }
+  }
+}
+
+}  // namespace
+
 void run_deblock_frame(PlaneU8& luma, int mb_width, int mb_height,
                        const Block4x4Info* blocks, const DeblockParams& p) {
   FEVES_CHECK(luma.width() == mb_width * kMbSize);
   FEVES_CHECK(luma.height() == mb_height * kMbSize);
-  const int index_a = std::clamp(p.qp + p.alpha_offset, 0, 51);
-  const int index_b = std::clamp(p.qp + p.beta_offset, 0, 51);
-  const int alpha = kAlpha[index_a];
-  const int beta = kBeta[index_b];
-  if (alpha == 0 || beta == 0) return;  // QP too low: filter disabled
-
-  const SimdTier tier = resolve_tier(KernelId::kDeblock, p.tier);
-  const bool vec = tier == SimdTier::kSse2 || tier == SimdTier::kAvx2;
-  const int bw = mb_width * 4;  // 4x4 block grid width
-
+  const EdgeFilter f = edge_filter(mb_width, p);
+  if (!f.enabled()) return;  // QP too low: filter disabled
   for (int mb_y = 0; mb_y < mb_height; ++mb_y) {
     for (int mb_x = 0; mb_x < mb_width; ++mb_x) {
-      // Vertical edges (filtering horizontally across columns
-      // x = 16*mb_x + {0,4,8,12}); the x=0 edge needs a left neighbour MB.
-      // The taps run along the row itself, so these stay scalar.
-      for (int e = 0; e < 4; ++e) {
-        if (e == 0 && mb_x == 0) continue;
-        const int px = mb_x * kMbSize + e * 4;
-        for (int line = 0; line < kMbSize; ++line) {
-          const int py = mb_y * kMbSize + line;
-          const int bx = px / 4;
-          const int by = py / 4;
-          const int bs =
-              boundary_strength(blocks[by * bw + (bx - 1)], blocks[by * bw + bx]);
-          if (bs == 0) continue;
-          detail::filter_line(luma.row(py) + px, 1, bs, alpha, beta,
-                              tc0_of(index_a, bs));
-        }
-      }
-      // Horizontal edges (filtering vertically across rows
-      // y = 16*mb_y + {0,4,8,12}); the y=0 edge needs an above neighbour.
-      // The 16 columns are independent line filters: one vector edge call.
-      for (int e = 0; e < 4; ++e) {
-        if (e == 0 && mb_y == 0) continue;
-        const int py = mb_y * kMbSize + e * 4;
-        const int by = py / 4;
-        if (vec) {
-          alignas(16) i16 bs_lanes[16];
-          alignas(16) i16 tc0_lanes[16];
-          bool any = false;
-          for (int seg = 0; seg < 4; ++seg) {
-            const int bx = mb_x * 4 + seg;
-            const int bs = boundary_strength(blocks[(by - 1) * bw + bx],
-                                             blocks[by * bw + bx]);
-            const i16 t = static_cast<i16>(tc0_of(index_a, bs));
-            for (int k = 0; k < 4; ++k) {
-              bs_lanes[seg * 4 + k] = static_cast<i16>(bs);
-              tc0_lanes[seg * 4 + k] = t;
-            }
-            any = any || bs != 0;
-          }
-          if (!any) continue;
-          detail::filter_hedge_luma_simd(luma.row(py) + mb_x * kMbSize,
-                                         luma.stride(), bs_lanes, tc0_lanes,
-                                         alpha, beta);
-          continue;
-        }
-        for (int line = 0; line < kMbSize; ++line) {
-          const int px = mb_x * kMbSize + line;
-          const int bx = px / 4;
-          const int bs = boundary_strength(blocks[(by - 1) * bw + bx],
-                                           blocks[by * bw + bx]);
-          if (bs == 0) continue;
-          detail::filter_line(luma.row(py) + px, luma.stride(), bs, alpha,
-                              beta, tc0_of(index_a, bs));
-        }
-      }
+      deblock_luma_mb(f, luma, blocks, mb_x, mb_y);
     }
   }
 }
 
 void run_deblock_chroma(PlaneU8& chroma, int mb_width, int mb_height,
                         const Block4x4Info* blocks, const DeblockParams& p) {
-  constexpr int kCMb = kMbSize / 2;
-  FEVES_CHECK(chroma.width() == mb_width * kCMb);
-  FEVES_CHECK(chroma.height() == mb_height * kCMb);
-  const int index_a = std::clamp(p.qp + p.alpha_offset, 0, 51);
-  const int index_b = std::clamp(p.qp + p.beta_offset, 0, 51);
-  const int alpha = kAlpha[index_a];
-  const int beta = kBeta[index_b];
-  if (alpha == 0 || beta == 0) return;
-
-  const SimdTier tier = resolve_tier(KernelId::kDeblock, p.tier);
-  const bool vec = tier == SimdTier::kSse2 || tier == SimdTier::kAvx2;
-  const int bw = mb_width * 4;  // luma 4x4 block grid width
-
+  FEVES_CHECK(chroma.width() == mb_width * (kMbSize / 2));
+  FEVES_CHECK(chroma.height() == mb_height * (kMbSize / 2));
+  const EdgeFilter f = edge_filter(mb_width, p);
+  if (!f.enabled()) return;
   for (int mb_y = 0; mb_y < mb_height; ++mb_y) {
     for (int mb_x = 0; mb_x < mb_width; ++mb_x) {
-      // Vertical chroma edges at x = 8*mb_x + {0, 4}.
-      for (int e = 0; e < 2; ++e) {
-        if (e == 0 && mb_x == 0) continue;
-        const int cx = mb_x * kCMb + e * 4;
-        for (int line = 0; line < kCMb; ++line) {
-          const int cy = mb_y * kCMb + line;
-          // Co-located luma 4x4 blocks: chroma sample (cx, cy) maps to
-          // luma pixel (2cx, 2cy) -> block (cx/2, cy/2).
-          const int lbx = cx / 2;
-          const int lby = cy / 2;
-          const int bs = boundary_strength(blocks[lby * bw + (lbx - 1)],
-                                           blocks[lby * bw + lbx]);
-          if (bs == 0) continue;
-          detail::filter_chroma_line(chroma.row(cy) + cx, 1, bs, alpha, beta,
-                                     tc0_of(index_a, bs));
-        }
-      }
-      // Horizontal chroma edges at y = 8*mb_y + {0, 4}; the bs segments are
-      // 2 chroma columns wide (one co-located luma 4x4 block each).
-      for (int e = 0; e < 2; ++e) {
-        if (e == 0 && mb_y == 0) continue;
-        const int cy = mb_y * kCMb + e * 4;
-        const int lby = cy / 2;
-        if (vec) {
-          alignas(16) i16 bs_lanes[8];
-          alignas(16) i16 tc0_lanes[8];
-          bool any = false;
-          for (int seg = 0; seg < 4; ++seg) {
-            const int lbx = mb_x * 4 + seg;
-            const int bs = boundary_strength(blocks[(lby - 1) * bw + lbx],
-                                             blocks[lby * bw + lbx]);
-            const i16 t = static_cast<i16>(tc0_of(index_a, bs));
-            bs_lanes[seg * 2 + 0] = static_cast<i16>(bs);
-            bs_lanes[seg * 2 + 1] = static_cast<i16>(bs);
-            tc0_lanes[seg * 2 + 0] = t;
-            tc0_lanes[seg * 2 + 1] = t;
-            any = any || bs != 0;
-          }
-          if (!any) continue;
-          detail::filter_hedge_chroma_simd(chroma.row(cy) + mb_x * kCMb,
-                                           chroma.stride(), bs_lanes,
-                                           tc0_lanes, alpha, beta);
-          continue;
-        }
-        for (int line = 0; line < kCMb; ++line) {
-          const int cx = mb_x * kCMb + line;
-          const int lbx = cx / 2;
-          const int bs = boundary_strength(blocks[(lby - 1) * bw + lbx],
-                                           blocks[lby * bw + lbx]);
-          if (bs == 0) continue;
-          detail::filter_chroma_line(chroma.row(cy) + cx, chroma.stride(), bs,
-                                     alpha, beta, tc0_of(index_a, bs));
-        }
-      }
+      deblock_chroma_mb(f, chroma, blocks, mb_x, mb_y);
     }
   }
+}
+
+void run_deblock_picture(Frame420& pic, int mb_width, int mb_height,
+                         const Block4x4Info* blocks, const DeblockParams& luma,
+                         const DeblockParams& chroma, ThreadPool* pool) {
+  FEVES_CHECK(pic.y.width() == mb_width * kMbSize);
+  FEVES_CHECK(pic.y.height() == mb_height * kMbSize);
+  FEVES_CHECK(pic.u.width() == mb_width * (kMbSize / 2));
+  FEVES_CHECK(pic.u.height() == mb_height * (kMbSize / 2));
+  FEVES_CHECK(pic.v.width() == pic.u.width() &&
+              pic.v.height() == pic.u.height());
+  const EdgeFilter fy = edge_filter(mb_width, luma);
+  const EdgeFilter fc = edge_filter(mb_width, chroma);
+  const auto filter_mb = [&](int mb_x, int mb_y) {
+    if (fy.enabled()) deblock_luma_mb(fy, pic.y, blocks, mb_x, mb_y);
+    if (fc.enabled()) {
+      deblock_chroma_mb(fc, pic.u, blocks, mb_x, mb_y);
+      deblock_chroma_mb(fc, pic.v, blocks, mb_x, mb_y);
+    }
+  };
+  if (pool == nullptr) {
+    for (int mb_y = 0; mb_y < mb_height; ++mb_y) {
+      for (int mb_x = 0; mb_x < mb_width; ++mb_x) filter_mb(mb_x, mb_y);
+    }
+    return;
+  }
+  // Lag-2 wavefront: each MB row runs left to right, and MB (x, y) starts
+  // once MB (x+1, y-1) is done. MB (x, y) touches its own pixels, the 4
+  // (chroma: 2) columns left of them and the 4 (2) rows above them, so it
+  // shares pixels only with (x±1, y), (x, y±1), (x+1, y-1) and (x-1, y+1).
+  // The wavefront runs each such pair in raster order, and MBs that share
+  // no pixel commute: the result is raster order's, bit for bit.
+  // `done[y]` counts row y's finished MBs. Rows are claimed in increasing
+  // order and a claimed row always runs to its end, so a row only ever
+  // waits for a row that is being worked on.
+  //
+  // A wait is a couple of MBs long, far shorter than parking a thread and
+  // waking it again, so waiters spin, then yield their core. Each counter
+  // has its own cache line: neighbouring rows' threads write them per MB.
+  struct alignas(64) Progress {
+    std::atomic<int> done{0};
+  };
+  std::vector<Progress> rows(static_cast<std::size_t>(mb_height));
+  pool->parallel_for(0, mb_height, [&](int mb_y) {
+    const std::atomic<int>* above = mb_y > 0 ? &rows[mb_y - 1].done : nullptr;
+    std::atomic<int>& mine = rows[mb_y].done;
+    for (int mb_x = 0; mb_x < mb_width; ++mb_x) {
+      if (above != nullptr) {
+        const int need = std::min(mb_x + 2, mb_width);
+        for (int spins = 0; above->load(std::memory_order_acquire) < need;
+             ++spins) {
+          if (spins < kSpinsBeforeYield) {
+            cpu_relax();
+          } else {
+            std::this_thread::yield();
+          }
+        }
+      }
+      filter_mb(mb_x, mb_y);
+      mine.store(mb_x + 1, std::memory_order_release);
+    }
+  });
 }
 
 }  // namespace feves

@@ -5,14 +5,19 @@
 //
 // The paper points out DBL's cross-MB data dependencies are why the whole
 // R* block is mapped to a single device (Sec. III-B); accordingly this API
-// is whole-frame, executed wherever the Dijkstra selector placed R*.
+// is whole-frame, executed wherever the Dijkstra selector placed R*. Within
+// that device, run_deblock_picture spreads the frame over the device's
+// cores as an MB wavefront that reproduces raster order exactly.
 #pragma once
 
 #include "codec/kernels.hpp"
 #include "codec/mv.hpp"
+#include "video/frame.hpp"
 #include "video/plane.hpp"
 
 namespace feves {
+
+class ThreadPool;
 
 /// Per-4x4-block side information the boundary-strength rule needs.
 struct Block4x4Info {
@@ -47,5 +52,16 @@ void run_deblock_frame(PlaneU8& luma, int mb_width, int mb_height,
 /// co-located luma 4x4 blocks; edges are filtered every 4 chroma samples.
 void run_deblock_chroma(PlaneU8& chroma, int mb_width, int mb_height,
                         const Block4x4Info* blocks, const DeblockParams& p);
+
+/// Filters luma (`luma` params) and both chroma planes (`chroma` params,
+/// whose qp is the chroma QP) of `pic`: the same pixels as run_deblock_frame
+/// plus run_deblock_chroma on U and V. With a pool, MB rows run
+/// concurrently as a lag-2 wavefront — MB (x, y) starts once MB (x+1, y-1)
+/// is done — which leaves exactly raster order's pixel state; without one,
+/// MBs run in raster order on the caller.
+void run_deblock_picture(Frame420& pic, int mb_width, int mb_height,
+                         const Block4x4Info* blocks, const DeblockParams& luma,
+                         const DeblockParams& chroma,
+                         ThreadPool* pool = nullptr);
 
 }  // namespace feves

@@ -123,63 +123,6 @@ void fill_dbl_info(EncodeJob& job, int mb_x, int mb_y) {
   }
 }
 
-/// Shared by encoder and decoder: given final choices + coded levels,
-/// rebuild the MC prediction and reconstruct one MB into job.recon. The
-/// per-reference view vectors are built once per frame by the caller —
-/// constructing them here put three heap allocations on every macroblock
-/// of every frame (~24k allocations per 1080p frame).
-void reconstruct_inter_mb(EncodeJob& job, int mb_x, int mb_y,
-                          const std::vector<const SubPelFrame*>& sfs,
-                          const std::vector<const PlaneU8*>& refs_u,
-                          const std::vector<const PlaneU8*>& refs_v,
-                          SimdTier tier) {
-  const int mbw = job.cfg->mb_width();
-  const MbModeChoice& choice = job.choices[mb_y * mbw + mb_x];
-  const MbCoded& coded = job.coded[mb_y * mbw + mb_x];
-  const int qp = job.cfg->qp_p;
-  const int qpc = kChromaQp[qp];
-
-  u8 pred_y[kMbSize * kMbSize];
-  i16 res_y[kMbSize * kMbSize];
-  motion_compensate_luma_mb(job.cur->y, sfs, choice, mb_x, mb_y, pred_y,
-                            res_y, tier);
-
-  u8 pred_u[kCMb * kCMb], pred_v[kCMb * kCMb];
-  i16 res_u[kCMb * kCMb], res_v[kCMb * kCMb];
-  motion_compensate_chroma_mb(job.cur->u, refs_u, choice, mb_x, mb_y, pred_u,
-                              res_u, tier);
-  motion_compensate_chroma_mb(job.cur->v, refs_v, choice, mb_x, mb_y, pred_v,
-                              res_v, tier);
-
-  reconstruct_blocks<kMbSize>(job.recon->recon.y, mb_x * kMbSize,
-                              mb_y * kMbSize, pred_y, coded.luma_levels, qp);
-  reconstruct_blocks<kCMb>(job.recon->recon.u, mb_x * kCMb, mb_y * kCMb,
-                           pred_u, coded.cb_levels, qpc);
-  reconstruct_blocks<kCMb>(job.recon->recon.v, mb_x * kCMb, mb_y * kCMb,
-                           pred_v, coded.cr_levels, qpc);
-}
-
-/// Deblocks the finished reconstruction (luma + chroma) and finalizes the
-/// picture.
-void finish_reconstruction(EncodeJob& job,
-                           SimdTier tier = SimdTier::kAuto) {
-  if (job.cfg->enable_deblocking) {
-    DeblockParams dp;
-    dp.qp = job.is_intra ? job.cfg->qp_i : job.cfg->qp_p;
-    dp.tier = tier;
-    run_deblock_frame(job.recon->recon.y, job.cfg->mb_width(),
-                      job.cfg->mb_height(), job.dbl_info.data(), dp);
-    DeblockParams dc = dp;
-    dc.qp = kChromaQp[dp.qp];
-    run_deblock_chroma(job.recon->recon.u, job.cfg->mb_width(),
-                       job.cfg->mb_height(), job.dbl_info.data(), dc);
-    run_deblock_chroma(job.recon->recon.v, job.cfg->mb_width(),
-                       job.cfg->mb_height(), job.dbl_info.data(), dc);
-  }
-  job.recon->recon.extend_borders();
-  job.recon->frame_number = job.frame_number;
-}
-
 }  // namespace
 
 void EncodeJob::prepare(const EncoderConfig& config, const Frame420& current,
@@ -253,14 +196,15 @@ void sme_rows(EncodeJob& job, int row_begin, int row_end, SimdTier tier) {
   }
 }
 
-void rstar_frame(EncodeJob& job, SimdTier tier) {
+void rstar_rows(EncodeJob& job, int row_begin, int row_end, SimdTier tier) {
   const int mbw = job.cfg->mb_width();
-  const int mbh = job.cfg->mb_height();
+  FEVES_CHECK(row_begin >= 0 && row_begin <= row_end &&
+              row_end <= job.cfg->mb_height());
   const int qp = job.cfg->qp_p;
   const int qpc = kChromaQp[qp];
 
-  run_mode_decision_rows(job.fields, mbw, 0, mbh, job.cfg->lambda_mode,
-                         job.choices.data());
+  run_mode_decision_rows(job.fields, mbw, row_begin, row_end,
+                         job.cfg->lambda_mode, job.choices.data());
 
   std::vector<const SubPelFrame*> sfs;
   std::vector<const PlaneU8*> refs_u, refs_v;
@@ -273,7 +217,7 @@ void rstar_frame(EncodeJob& job, SimdTier tier) {
     refs_v.push_back(&r->recon.v);
   }
 
-  for (int mb_y = 0; mb_y < mbh; ++mb_y) {
+  for (int mb_y = row_begin; mb_y < row_end; ++mb_y) {
     for (int mb_x = 0; mb_x < mbw; ++mb_x) {
       const MbModeChoice& choice = job.choices[mb_y * mbw + mb_x];
       MbCoded& coded = job.coded[mb_y * mbw + mb_x];
@@ -294,10 +238,35 @@ void rstar_frame(EncodeJob& job, SimdTier tier) {
       tq_chroma_mb(res_u, qpc, false, coded.cb_levels);
       tq_chroma_mb(res_v, qpc, false, coded.cr_levels);
 
-      reconstruct_inter_mb(job, mb_x, mb_y, sfs, refs_u, refs_v, tier);
+      reconstruct_blocks<kMbSize>(job.recon->recon.y, mb_x * kMbSize,
+                                  mb_y * kMbSize, pred_y, coded.luma_levels,
+                                  qp);
+      reconstruct_blocks<kCMb>(job.recon->recon.u, mb_x * kCMb, mb_y * kCMb,
+                               pred_u, coded.cb_levels, qpc);
+      reconstruct_blocks<kCMb>(job.recon->recon.v, mb_x * kCMb, mb_y * kCMb,
+                               pred_v, coded.cr_levels, qpc);
       fill_dbl_info(job, mb_x, mb_y);
     }
   }
+}
+
+void finish_reconstruction(EncodeJob& job, SimdTier tier, ThreadPool* pool) {
+  if (job.cfg->enable_deblocking) {
+    DeblockParams luma;
+    luma.qp = job.is_intra ? job.cfg->qp_i : job.cfg->qp_p;
+    luma.tier = tier;
+    DeblockParams chroma = luma;
+    chroma.qp = kChromaQp[luma.qp];
+    run_deblock_picture(job.recon->recon, job.cfg->mb_width(),
+                        job.cfg->mb_height(), job.dbl_info.data(), luma,
+                        chroma, pool);
+  }
+  job.recon->recon.extend_borders();
+  job.recon->frame_number = job.frame_number;
+}
+
+void rstar_frame(EncodeJob& job, SimdTier tier) {
+  rstar_rows(job, 0, job.cfg->mb_height(), tier);
   finish_reconstruction(job, tier);
 }
 

@@ -2,7 +2,9 @@
 // (a) the single-device reference encoder — the unit of truth that every
 // collaborative CPU+GPU schedule must match bit-exactly — and (b) the
 // library of row-ranged module entry points the FEVES framework distributes
-// across devices (ME/INT/SME by MB rows, R* whole-frame on one device).
+// across devices (ME/INT/SME by MB rows, R* whole-frame on one device) and
+// each device spreads over its own cores (R* by rows, then its deblocking
+// tail).
 #pragma once
 
 #include "codec/deblock.hpp"
@@ -17,6 +19,8 @@
 #include <vector>
 
 namespace feves {
+
+class ThreadPool;
 
 /// Quantized residual of one macroblock, ready for entropy coding and
 /// carrying the non-zero flags deblocking needs.
@@ -86,9 +90,24 @@ void finish_interpolation(EncodeJob& job);
 
 // ---- R* block (single device, whole frame) ------------------------------
 
-/// Mode decision + MC + TQ + TQ^-1 + reconstruction + DBL. `tier` feeds the
-/// MC and deblocking kernels (transform kernels resolve kAuto once per
+/// R* over MB rows [row_begin,row_end) of a P frame: mode decision, MC, TQ,
+/// TQ^-1, reconstruction before deblocking, and the deblocking side info.
+/// Every MB's R* work is independent of every other MB's, so any partition
+/// of the rows, run in any order or concurrently, leaves the same state.
+/// `tier` feeds the MC kernels (transform kernels resolve kAuto once per
 /// process — they are 4x4-fixed and gain nothing from per-call selection).
+void rstar_rows(EncodeJob& job, int row_begin, int row_end,
+                SimdTier tier = SimdTier::kAuto);
+
+/// R*'s tail, once every MB is reconstructed: deblocks the reconstruction
+/// (luma and chroma) and extends its borders. With a pool, deblocking runs
+/// as an MB wavefront across it (run_deblock_picture), bit-identical to
+/// the raster order used without one.
+void finish_reconstruction(EncodeJob& job, SimdTier tier = SimdTier::kAuto,
+                           ThreadPool* pool = nullptr);
+
+/// The whole R* block on the calling thread: rstar_rows over every row,
+/// then finish_reconstruction. Every parallel R* must equal this.
 void rstar_frame(EncodeJob& job, SimdTier tier = SimdTier::kAuto);
 
 /// Intra path for the leading I frame: per-MB Intra_16x16 mode decision

@@ -1,6 +1,8 @@
-// Fixed-size worker pool used by the real execution backend. Each CPU device
-// (and each simulated accelerator running in real mode) owns one pool, which
-// mirrors the paper's per-device OpenMP teams.
+// Fixed-size worker pool behind the real execution backend's multi-core
+// devices. One process-wide instance (device_pool()) serves every device
+// lane: a lane that runs a row-ranged op fans its MB rows over the pool and
+// works on them itself, the way each device of the paper runs its slice on
+// its own cores (Sec. III-B1's per-device Parallel Modules).
 #pragma once
 
 #include <condition_variable>
@@ -28,21 +30,26 @@ class ThreadPool {
   std::future<void> submit(std::function<void()> fn);
 
   /// Runs fn(i) for i in [begin, end) across the pool and the calling
-  /// thread; returns when every index has been processed. Indices are
-  /// chunked contiguously so MB rows processed by one worker stay adjacent
-  /// in memory (same locality the paper's row-sliced kernels rely on).
-  /// If fn throws, chunks past the lowest throwing chunk are abandoned,
-  /// every in-flight worker is joined before unwinding, and the error from
-  /// the lowest-indexed throwing chunk is rethrown (deterministic across
-  /// runs: every chunk below it still runs).
+  /// thread; returns when every index has been processed. Participants
+  /// claim one index (one MB row) at a time, so several callers sharing the
+  /// pool interleave at row grain instead of queueing behind each other's
+  /// chunks. A one-index range runs inline. The caller never waits for a
+  /// helper task that has not started: once it runs out of indices it
+  /// waits only for helpers already working, and a helper that starts
+  /// later finds nothing to do — so a call completes even when every
+  /// worker is blocked elsewhere.
+  /// If fn throws, indices past the lowest throwing one are abandoned,
+  /// every started helper is joined before unwinding, and the error from
+  /// the lowest throwing index is rethrown (deterministic across runs:
+  /// every index below it still runs).
   void parallel_for(int begin, int end, const std::function<void(int)>& fn);
 
  private:
   friend class ThreadPoolTestPeer;
 
-  /// parallel_for with `on_claim(lo)` called after a participant claims the
-  /// chunk starting at `lo` and before it decides whether to run it — the
-  /// seam tests use to force claim/failure interleavings.
+  /// parallel_for with `on_claim(i)` called after a participant claims
+  /// index `i` and before it decides whether to run it — the seam tests use
+  /// to force claim/failure interleavings.
   void parallel_for(int begin, int end, const std::function<void(int)>& fn,
                     const std::function<void(int)>& on_claim);
 
@@ -54,5 +61,10 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// The process-wide device-compute pool, created on first use with
+/// hardware_concurrency() - 1 workers: callers of parallel_for take part in
+/// the work, so together they fill every core without oversubscribing.
+ThreadPool& device_pool();
 
 }  // namespace feves

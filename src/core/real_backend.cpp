@@ -160,7 +160,8 @@ RealBackend::RealBackend(EncodeJob& job, std::vector<DeviceMirror>& mirrors,
       mirrors_(mirrors),
       topo_(topo),
       tier_(tier),
-      sme_dist_(std::move(sme_dist)) {
+      sme_dist_(std::move(sme_dist)),
+      pool_(device_pool()) {
   FEVES_CHECK(static_cast<int>(mirrors.size()) == topo.num_devices());
   FEVES_CHECK(static_cast<int>(sme_dist_.size()) == topo.num_devices());
 }
@@ -174,44 +175,57 @@ void RealBackend::ensure_sf_assembled() {
 
 OpPayload RealBackend::op_me(int device, RowInterval rows) {
   if (!is_accel(device)) {
-    return {0.0, 0.0, [this, rows] { me_rows(job_, rows.begin, rows.end, tier_); }};
+    return {0.0, 0.0, [this, rows] {
+              pool_.parallel_for(rows.begin, rows.end, [this](int y) {
+                me_rows(job_, y, y + 1, tier_);
+              });
+            }};
   }
   return {0.0, 0.0, [this, device, rows] {
             DeviceMirror& m = mirrors_[device];
             MeParams params;
             params.search_range = job_.cfg->search_range;
             params.tier = tier_;
-            for (std::size_t r = 0; r < job_.refs.size(); ++r) {
-              run_me_rows(m.cf_y, m.refs[r]->recon_y, job_.cfg->mb_width(),
-                          rows.begin, rows.end, params, m.fields[r].data());
-            }
+            pool_.parallel_for(rows.begin, rows.end, [&](int y) {
+              for (std::size_t r = 0; r < job_.refs.size(); ++r) {
+                run_me_rows(m.cf_y, m.refs[r]->recon_y, job_.cfg->mb_width(),
+                            y, y + 1, params, m.fields[r].data());
+              }
+            });
           }};
 }
 
 OpPayload RealBackend::op_int(int device, RowInterval rows) {
   if (!is_accel(device)) {
-    return {0.0, 0.0,
-            [this, rows] { int_rows(job_, rows.begin, rows.end, tier_); }};
+    return {0.0, 0.0, [this, rows] {
+              pool_.parallel_for(rows.begin, rows.end, [this](int y) {
+                int_rows(job_, y, y + 1, tier_);
+              });
+            }};
   }
   return {0.0, 0.0, [this, device, rows] {
             DeviceMirror& m = mirrors_[device];
-            run_interpolation_rows(m.refs[0]->recon_y, rows.begin, rows.end,
-                                   m.refs[0]->sf, tier_);
-            // Local slices must carry valid horizontal borders for SME's
-            // out-of-frame motion vectors.
-            for (auto& plane : m.refs[0]->sf.phases) {
-              plane.extend_horizontal_borders(rows.begin * kMbSize,
-                                              rows.end * kMbSize);
-            }
-            if (topo_.num_devices() == 1) {
-              // Solo accelerator: there is no SF_out gather, and R* (which
-              // reads the canonical SF as a stand-in for device-local MC
-              // data) runs on this same device — publish the slice locally.
-              for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
-                copy_pixel_rows(m.refs[0]->sf.phases[ph],
-                                job_.refs[0]->sf.phases[ph], rows, false);
+            pool_.parallel_for(rows.begin, rows.end, [&](int y) {
+              run_interpolation_rows(m.refs[0]->recon_y, y, y + 1,
+                                     m.refs[0]->sf, tier_);
+              // Local slices must carry valid horizontal borders for SME's
+              // out-of-frame motion vectors.
+              for (auto& plane : m.refs[0]->sf.phases) {
+                plane.extend_horizontal_borders(y * kMbSize,
+                                                (y + 1) * kMbSize);
               }
-            }
+              if (topo_.num_devices() == 1) {
+                // Solo accelerator: there is no SF_out gather, and R*
+                // (which reads the canonical SF as a stand-in for
+                // device-local MC data) runs on this same device — publish
+                // the slice locally.
+                for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
+                  copy_pixel_rows(m.refs[0]->sf.phases[ph],
+                                  job_.refs[0]->sf.phases[ph], {y, y + 1},
+                                  false);
+                }
+              }
+            });
           }};
 }
 
@@ -219,7 +233,9 @@ OpPayload RealBackend::op_sme(int device, RowInterval rows) {
   if (!is_accel(device)) {
     return {0.0, 0.0, [this, rows] {
               ensure_sf_assembled();
-              sme_rows(job_, rows.begin, rows.end, tier_);
+              pool_.parallel_for(rows.begin, rows.end, [this](int y) {
+                sme_rows(job_, y, y + 1, tier_);
+              });
             }};
   }
   return {0.0, 0.0, [this, device, rows] {
@@ -245,9 +261,13 @@ OpPayload RealBackend::op_sme(int device, RowInterval rows) {
               for (auto& plane : m.refs[r]->sf.phases) {
                 plane.extend_vertical_borders(top, bottom);
               }
-              run_sme_rows(m.cf_y, m.refs[r]->sf, job_.cfg->mb_width(),
-                           rows.begin, rows.end, params, m.refined[r].data());
             }
+            pool_.parallel_for(rows.begin, rows.end, [&](int y) {
+              for (std::size_t r = 0; r < job_.refs.size(); ++r) {
+                run_sme_rows(m.cf_y, m.refs[r]->sf, job_.cfg->mb_width(), y,
+                             y + 1, params, m.refined[r].data());
+              }
+            });
           }};
 }
 
@@ -262,7 +282,12 @@ OpPayload RealBackend::op_rstar(int device) {
                               s_iv[device], job_.cfg->mb_width());
             }
             ensure_sf_assembled();
-            rstar_frame(job_, tier_);
+            // rstar_frame split over the device's cores: independent MB
+            // rows, then the deblocking wavefront.
+            pool_.parallel_for(0, job_.cfg->mb_height(), [this](int y) {
+              rstar_rows(job_, y, y + 1, tier_);
+            });
+            finish_reconstruction(job_, tier_, &pool_);
           }};
 }
 

@@ -6,11 +6,16 @@
 // makes the Fig 5 offset/reuse logic empirically verified, not just
 // modelled.
 //
-// (On this host all "devices" are CPU threads, so real mode demonstrates
-// correctness and orchestration, not speedups — see DESIGN.md §1.)
+// Each device is a multi-core device, as in the paper: an op fans its MB
+// rows (R*: its rows, then its deblocking wavefront, when the pool has idle
+// cores) over the process-wide device_pool() and its lane thread works on
+// them too. On a CPU-only host every "device" shares the same cores, so
+// real-mode speedups come from those cores, not from the number of
+// modelled devices (DESIGN.md §6j).
 #pragma once
 
 #include "codec/frame_codec.hpp"
+#include "common/thread_pool.hpp"
 #include "core/backend.hpp"
 
 #include <deque>
@@ -75,6 +80,7 @@ class RealBackend final : public FrameBackend {
   const PlatformTopology& topo_;
   SimdTier tier_;
   std::vector<int> sme_dist_;
+  ThreadPool& pool_;  ///< every device's cores (device_pool())
   std::mutex assemble_mutex_;
   bool sf_assembled_ = false;
 };

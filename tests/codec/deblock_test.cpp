@@ -1,9 +1,12 @@
 #include "codec/deblock.hpp"
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
+#include "video/metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -165,6 +168,77 @@ TEST(Deblock, FrameBoundariesNeverFiltered) {
   // than the internal x=4 edge, which cannot modify x<1... verify x=0
   // retains its value.
   EXPECT_EQ(fx.luma.at(0, 0), 100);
+}
+
+// The deblocking wavefront (MB (x, y) starts once MB (x+1, y-1) is done)
+// must leave exactly the pixels of raster order, luma and both chroma
+// planes: random bS 0..4 per 4x4 block (intra blocks take the strong
+// filter), blocky content whose steps straddle alpha, several QPs, every
+// tier, and MB grids 1, 2 and an odd number of columns wide.
+TEST(Deblock, WavefrontMatchesRasterOrder) {
+  ThreadPool pool(3);
+  Rng rng(4242);
+  struct Grid {
+    int mbw, mbh;
+  };
+  for (const Grid g : {Grid{1, 5}, Grid{2, 4}, Grid{5, 6}, Grid{7, 3},
+                       Grid{3, 1}}) {
+    for (const int qp : {18, 28, 36, 45, 51}) {
+      const int w = g.mbw * kMbSize;
+      const int h = g.mbh * kMbSize;
+      Frame420 src(w, h, 16);
+      // Flat 4x4 tiles plus noise: tile steps small enough that many edges
+      // filter, large enough that some do not.
+      for (PlaneU8* plane : {&src.y, &src.u, &src.v}) {
+        for (int by = 0; by < plane->height() / 4; ++by) {
+          for (int bx = 0; bx < plane->width() / 4; ++bx) {
+            const int base = static_cast<int>(rng.uniform_int(40, 215));
+            for (int y = by * 4; y < by * 4 + 4; ++y) {
+              for (int x = bx * 4; x < bx * 4 + 4; ++x) {
+                plane->at(y, x) = static_cast<u8>(
+                    base + static_cast<int>(rng.uniform_int(-3, 3)));
+              }
+            }
+          }
+        }
+      }
+      std::vector<Block4x4Info> blocks(
+          static_cast<std::size_t>(g.mbw * 4 * g.mbh * 4));
+      for (Block4x4Info& b : blocks) {
+        b.intra = rng.uniform_int(0, 9) == 0;
+        b.nonzero = rng.uniform_int(0, 2) == 0;
+        b.ref_idx = static_cast<u8>(rng.uniform_int(0, 1));
+        b.mv = Mv{static_cast<i16>(rng.uniform_int(-6, 6)),
+                  static_cast<i16>(rng.uniform_int(-6, 6))};
+      }
+      for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAuto}) {
+        DeblockParams luma;
+        luma.qp = qp;
+        luma.tier = tier;
+        DeblockParams chroma = luma;
+        chroma.qp = std::max(0, qp - 3);
+
+        Frame420 raster = src;
+        run_deblock_frame(raster.y, g.mbw, g.mbh, blocks.data(), luma);
+        run_deblock_chroma(raster.u, g.mbw, g.mbh, blocks.data(), chroma);
+        run_deblock_chroma(raster.v, g.mbw, g.mbh, blocks.data(), chroma);
+
+        for (int round = 0; round < 4; ++round) {
+          Frame420 wave = src;
+          run_deblock_picture(wave, g.mbw, g.mbh, blocks.data(), luma, chroma,
+                              &pool);
+          ASSERT_TRUE(frames_bit_exact(raster, wave))
+              << g.mbw << "x" << g.mbh << " MBs, qp " << qp << ", tier "
+              << static_cast<int>(tier) << ", round " << round;
+        }
+        Frame420 inline_raster = src;
+        run_deblock_picture(inline_raster, g.mbw, g.mbh, blocks.data(), luma,
+                            chroma);
+        ASSERT_TRUE(frames_bit_exact(raster, inline_raster))
+            << g.mbw << "x" << g.mbh << " MBs, qp " << qp << " (no pool)";
+      }
+    }
+  }
 }
 
 }  // namespace

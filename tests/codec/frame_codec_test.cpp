@@ -1,10 +1,16 @@
 #include "codec/frame_codec.hpp"
 
 #include "codec/bitstream.hpp"
+#include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "video/metrics.hpp"
 #include "video/sequence.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace feves {
 namespace {
@@ -204,6 +210,107 @@ TEST(FrameCodec, JobPrepareValidatesConfig) {
   Frame420 frame(96, 64);
   EncodeJob job;
   EXPECT_THROW(job.prepare(cfg, frame, {}, 0), Error);
+}
+
+// Every MB's R* work in a P frame is independent, so R* may be split into
+// row ranges run in any order or concurrently (RealBackend::op_rstar runs
+// them across the device pool, then the deblocking wavefront). Each such
+// split must leave exactly rstar_frame's state: mode choices, coded levels,
+// deblocking info and the deblocked Y/U/V reconstruction.
+TEST(RStar, RowSplitMatchesWholeFrame) {
+  EncoderConfig cfg = small_config();
+  cfg.width = 112;  // 7 x 6 MBs: an odd column count
+  cfg.height = 96;
+  SyntheticConfig sc = small_scene(3);
+  sc.width = cfg.width;
+  sc.height = cfg.height;
+  SyntheticSequence seq(sc);
+  Frame420 frame(cfg.width, cfg.height);
+  RefList refs(cfg.num_ref_frames);
+  for (int f = 0; f < 2; ++f) {
+    ASSERT_TRUE(seq.read_frame(f, frame));
+    refs.push_front(encode_frame_reference(cfg, frame, refs, f, nullptr));
+  }
+  ASSERT_TRUE(seq.read_frame(2, frame));
+
+  // The modules before R*, once; every R* variant starts from these fields.
+  const int rows = cfg.num_mb_rows();
+  const auto prepared = [&](EncodeJob& job) {
+    job.prepare(cfg, frame, {&refs.ref(0), &refs.ref(1)}, 2);
+  };
+  EncodeJob whole;
+  prepared(whole);
+  me_rows(whole, 0, rows);
+  int_rows(whole, 0, rows);
+  finish_interpolation(whole);
+  sme_rows(whole, 0, rows);
+  const std::vector<MotionField> fields = whole.fields;
+  rstar_frame(whole);
+
+  const auto expect_same = [&](const EncodeJob& job, const std::string& what) {
+    ASSERT_EQ(job.choices.size(), whole.choices.size());
+    for (std::size_t mb = 0; mb < whole.choices.size(); ++mb) {
+      const MbModeChoice& a = whole.choices[mb];
+      const MbModeChoice& b = job.choices[mb];
+      ASSERT_EQ(a.mode, b.mode) << what << " MB " << mb;
+      ASSERT_EQ(a.cost, b.cost) << what << " MB " << mb;
+      for (int k = 0; k < geometry(a.mode).num_blocks(); ++k) {
+        ASSERT_EQ(a.blocks[k].mv, b.blocks[k].mv) << what << " MB " << mb;
+        ASSERT_EQ(a.blocks[k].ref_idx, b.blocks[k].ref_idx)
+            << what << " MB " << mb;
+      }
+      const MbCoded& ca = whole.coded[mb];
+      const MbCoded& cb = job.coded[mb];
+      ASSERT_EQ(ca.luma_levels, cb.luma_levels) << what << " MB " << mb;
+      ASSERT_EQ(ca.cb_levels, cb.cb_levels) << what << " MB " << mb;
+      ASSERT_EQ(ca.cr_levels, cb.cr_levels) << what << " MB " << mb;
+      ASSERT_EQ(ca.luma_nonzero, cb.luma_nonzero) << what << " MB " << mb;
+      ASSERT_EQ(ca.intra, cb.intra) << what << " MB " << mb;
+    }
+    ASSERT_EQ(job.dbl_info.size(), whole.dbl_info.size());
+    for (std::size_t i = 0; i < whole.dbl_info.size(); ++i) {
+      const Block4x4Info& a = whole.dbl_info[i];
+      const Block4x4Info& b = job.dbl_info[i];
+      ASSERT_TRUE(a.mv == b.mv && a.ref_idx == b.ref_idx &&
+                  a.nonzero == b.nonzero && a.intra == b.intra)
+          << what << " 4x4 block " << i;
+    }
+    EXPECT_TRUE(frames_bit_exact(whole.recon->recon, job.recon->recon))
+        << what;
+  };
+
+  Rng rng(77);
+  for (int round = 0; round < 12; ++round) {
+    // A random partition of the rows into intervals, run in shuffled order.
+    std::vector<std::pair<int, int>> parts;
+    for (int b = 0; b < rows;) {
+      const int e = static_cast<int>(rng.uniform_int(b + 1, rows));
+      parts.emplace_back(b, e);
+      b = e;
+    }
+    for (std::size_t i = parts.size(); i > 1; --i) {
+      std::swap(parts[i - 1],
+                parts[static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<i64>(i) - 1))]);
+    }
+    EncodeJob split;
+    prepared(split);
+    split.fields = fields;
+    for (const auto& [b, e] : parts) rstar_rows(split, b, e);
+    finish_reconstruction(split);
+    expect_same(split, "round " + std::to_string(round) + " shuffled");
+  }
+
+  // One row per pool task, then the deblocking wavefront on the same pool.
+  ThreadPool pool(3);
+  for (int round = 0; round < 8; ++round) {
+    EncodeJob pooled;
+    prepared(pooled);
+    pooled.fields = fields;
+    pool.parallel_for(0, rows, [&](int y) { rstar_rows(pooled, y, y + 1); });
+    finish_reconstruction(pooled, SimdTier::kAuto, &pool);
+    expect_same(pooled, "round " + std::to_string(round) + " pooled");
+  }
 }
 
 }  // namespace

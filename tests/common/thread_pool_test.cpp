@@ -9,6 +9,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace feves {
@@ -168,6 +169,111 @@ TEST(ThreadPool, ParallelForRunsLowChunkClaimedBeforeHigherFailure) {
       EXPECT_STREQ(e.what(), "0") << "round " << round;
     }
     EXPECT_FALSE(timed_out) << "round " << round;
+  }
+}
+
+// Device lanes share one pool: several threads call parallel_for on it at
+// once, each must see every one of its own indices run exactly once.
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kN = 500;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  std::vector<long long> sums(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        std::atomic<long long> sum{0};
+        pool.parallel_for(c, c + kN, [&](int i) {
+          hits[c][i - c].fetch_add(1);
+          sum.fetch_add(i);
+        });
+        sums[c] += sum.load();
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[c][i].load(), 20) << "caller " << c << " index " << i;
+    }
+    const long long one = static_cast<long long>(kN) * c +
+                          static_cast<long long>(kN) * (kN - 1) / 2;
+    EXPECT_EQ(sums[c], 20 * one) << "caller " << c;
+  }
+}
+
+// The caller never waits for a helper that has not started: with every
+// worker blocked, parallel_for still completes, on the caller alone.
+TEST(ThreadPool, ParallelForCompletesWhileEveryWorkerIsBlocked) {
+  ThreadPool pool(2);
+  std::mutex m;
+  std::condition_variable cv;
+  bool release = false;
+  int blocked = 0;
+  std::vector<std::future<void>> blockers;
+  for (unsigned w = 0; w < pool.size(); ++w) {
+    blockers.push_back(pool.submit([&] {
+      std::unique_lock lock(m);
+      ++blocked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }));
+  }
+  {
+    std::unique_lock lock(m);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                            [&] { return blocked == 2; }));
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> count{0};
+  std::atomic<int> elsewhere{0};
+  pool.parallel_for(0, 100, [&](int) {
+    count.fetch_add(1);
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
+  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(elsewhere.load(), 0);
+  {
+    std::lock_guard lock(m);
+    release = true;
+  }
+  cv.notify_all();
+  for (auto& f : blockers) f.wait();
+  // The stale helpers left in the queue find the call closed; the pool
+  // stays fully usable.
+  std::atomic<int> after{0};
+  pool.parallel_for(0, 64, [&](int i) { after.fetch_add(i); });
+  EXPECT_EQ(after.load(), 64 * 63 / 2);
+}
+
+// The lowest-index error wins per call even while other callers run on the
+// same pool: each caller always sees the error of its own first index.
+TEST(ThreadPool, ConcurrentCallersRethrowTheirOwnFirstError) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  std::vector<int> wrong(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      const int begin = 100 * c + 10;
+      for (int round = 0; round < 50; ++round) {
+        try {
+          pool.parallel_for(begin, begin + 90, [](int i) {
+            throw std::runtime_error(std::to_string(i));
+          });
+          ++wrong[c];
+        } catch (const std::runtime_error& e) {
+          if (e.what() != std::to_string(begin)) ++wrong[c];
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(wrong[c], 0) << "caller " << c;
   }
 }
 

@@ -210,5 +210,38 @@ TEST(Collaborative, StatsTrackTauOrdering) {
   }
 }
 
+// Real-mode devices are multi-core: each one fans its ME/INT/SME rows over
+// the shared device pool, and the R* host splits R* by rows and deblocks as
+// a wavefront. On SysNFF at 11 MB rows, every device gets at least 3 rows
+// of every module, so each device's slice really is split across threads
+// while the other lanes use the same pool; the output must still equal the
+// single-device reference bit for bit.
+TEST(Collaborative, SysNffMultiRowDevicesBitExact) {
+  EncoderConfig cfg = small_config();
+  cfg.width = 128;
+  cfg.height = 176;
+  const auto frames = load_frames(cfg, 5);
+  std::vector<u8> ref_bits;
+  const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
+
+  FrameworkOptions opts;
+  opts.policy = SchedulingPolicy::kEquidistant;
+  CollaborativeEncoder enc(cfg, topology_by_name("SysNFF"), opts);
+  std::vector<u8> bits;
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const auto stats = enc.encode_frame(frames[f], &bits);
+    ASSERT_TRUE(frames_bit_exact(enc.last_recon(), ref_recons[f]))
+        << "frame " << f;
+    if (f == 0) continue;  // the I frame has no row distribution
+    ASSERT_EQ(stats.dist.num_devices(), 3);
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_GE(stats.dist.me[d], 3) << "frame " << f << " device " << d;
+      EXPECT_GE(stats.dist.intp[d], 3) << "frame " << f << " device " << d;
+      EXPECT_GE(stats.dist.sme[d], 3) << "frame " << f << " device " << d;
+    }
+  }
+  EXPECT_EQ(bits, ref_bits);
+}
+
 }  // namespace
 }  // namespace feves

@@ -36,11 +36,18 @@ run_bounded() {
   timeout --signal=ABRT "${FEVES_TEST_TIMEOUT:-900}" "$@"
 }
 
-# Executors + fault machinery, the thread pool, and the end-to-end recovery
-# loops (real mode spawns one thread per lane every attempt).
+# Executors + fault machinery, the thread pool (including concurrent
+# callers on one pool), and the end-to-end recovery loops (real mode spawns
+# one thread per lane every attempt).
 run_bounded "$BUILD/tests/test_platform" --gtest_filter='*Executor*:*Fault*:*Schedule*:OpGraph.*:DevicePool.*:DeviceLease.*:*Arbiter*'
 run_bounded "$BUILD/tests/test_common" --gtest_filter='ThreadPool*:LogRace*'
 run_bounded "$BUILD/tests/test_core" --gtest_filter='FaultRecovery*:DeviceHealthMonitor.*'
+
+# Multi-core real-mode devices: every lane fans its rows over the one
+# process-wide device pool. TSan covers lanes sharing that pool and the R*
+# row split; ASan covers the deblocking wavefront's reads and writes.
+run_bounded "$BUILD/tests/test_codec" --gtest_filter='RStar.*:Deblock.WavefrontMatchesRasterOrder'
+run_bounded "$BUILD/tests/test_core" --gtest_filter='Collaborative.SysNffMultiRowDevicesBitExact'
 
 # Kernel-registry oracle battery: the explicit SSE2/AVX2 tiers' loads and
 # stores under ASan/UBSan, then again with the CPU capped at SSE2 so the
