@@ -14,6 +14,10 @@
 //   --system NAME       CPU_N|...|SysHK (default SysNF)
 //   --policy NAME       adaptive|proportional|equidistant (default adaptive)
 //   --decode-check      decode the stream afterwards and verify bit-exactness
+//
+// Exit status: 0 on success, 1 when the encode or its decode check fails,
+// 2 on bad arguments (including a configuration the encoder rejects, such
+// as a height that is not a multiple of 16).
 #include "codec/bitstream.hpp"
 #include "core/collaborative_encoder.hpp"
 #include "platform/presets.hpp"
@@ -44,7 +48,7 @@ struct Args {
   bool decode_check = false;
 };
 
-[[noreturn]] void usage(const char* argv0) {
+void print_usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--input in.yuv | --synthetic N) --width W"
                " --height H\n"
@@ -53,6 +57,10 @@ struct Args {
                "          [--policy adaptive|proportional|equidistant]\n"
                "          [--decode-check]\n",
                argv0);
+}
+
+[[noreturn]] void usage(const char* argv0) {
+  print_usage(argv0);
   std::exit(2);
 }
 
@@ -83,9 +91,7 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace feves;
   const Args args = parse_args(argc, argv);
 
@@ -169,4 +175,18 @@ int main(int argc, char** argv) {
     std::printf("decode check: all %zu frames bit-exact\n", recons.size());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const feves::Error& e) {
+    // Configuration, topology and input-file errors arrive here; they are
+    // usage errors, not crashes.
+    std::fprintf(stderr, "feves_cli: %s\n", e.what());
+    print_usage(argv[0]);
+    return 2;
+  }
 }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <utility>
 
 namespace feves {
 
@@ -147,6 +148,91 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
+}
+
+LaneRuntime::Batch::Batch(LaneRuntime& runtime, int count,
+                          std::function<void(int)> fn)
+    : runtime_(runtime), fn_(std::move(fn)) {
+  if (count <= 0) return;
+  std::lock_guard lock(runtime_.mutex_);
+  FEVES_CHECK_MSG(!runtime_.stop_, "batch on a stopped LaneRuntime");
+  // Grow before handing anything out: a thread that fails to start then
+  // leaves no task of this batch running.
+  while (static_cast<int>(runtime_.idle_.size()) < count) {
+    auto w = std::make_unique<Worker>();
+    Worker* raw = w.get();
+    // Room for every thread in the idle set, so parking never allocates.
+    runtime_.workers_.reserve(runtime_.workers_.size() + 1);
+    runtime_.idle_.reserve(runtime_.workers_.size() + 1);
+    w->thread = std::thread([this_rt = &runtime_, raw] {
+      this_rt->worker_loop(raw);
+    });
+    runtime_.workers_.push_back(std::move(w));
+    runtime_.idle_.push_back(raw);
+    runtime_.started_.fetch_add(1);
+  }
+  for (int i = 0; i < count; ++i) {
+    Worker* w = runtime_.idle_.back();
+    runtime_.idle_.pop_back();
+    w->batch = this;
+    w->index = i;
+    ++pending_;
+    // Targeted: only the thread that got the task wakes.
+    w->wake.notify_one();
+  }
+}
+
+LaneRuntime::Batch::~Batch() {
+  std::unique_lock lock(runtime_.mutex_);
+  done_.wait(lock, [this] { return pending_ == 0; });
+}
+
+void LaneRuntime::Batch::join() {
+  std::exception_ptr error;
+  {
+    std::unique_lock lock(runtime_.mutex_);
+    done_.wait(lock, [this] { return pending_ == 0; });
+    error = std::exchange(error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+LaneRuntime::~LaneRuntime() {
+  {
+    std::lock_guard lock(mutex_);
+    stop_ = true;
+    for (auto& w : workers_) w->wake.notify_one();
+  }
+  for (auto& w : workers_) w->thread.join();
+}
+
+void LaneRuntime::worker_loop(Worker* w) {
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    w->wake.wait(lock, [&] { return stop_ || w->batch != nullptr; });
+    if (w->batch == nullptr) return;  // stopping, and idle
+    Batch* batch = w->batch;
+    const int index = w->index;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      batch->fn_(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    // Park before counting the task done, so the batch's joiner (and the
+    // next batch it starts) finds this thread idle.
+    w->batch = nullptr;
+    idle_.push_back(w);
+    if (error && !batch->error_) batch->error_ = error;
+    if (--batch->pending_ == 0) batch->done_.notify_all();
+  }
+}
+
+LaneRuntime& lane_runtime() {
+  static LaneRuntime runtime;
+  return runtime;
 }
 
 ThreadPool& device_pool() {

@@ -3,11 +3,21 @@
 // lane: a lane that runs a row-ranged op fans its MB rows over the pool and
 // works on them itself, the way each device of the paper runs its slice on
 // its own cores (Sec. III-B1's per-device Parallel Modules).
+//
+// Beside it, lane_runtime(): the parked threads the real executor runs its
+// device lanes on. Lanes block on other lanes' ops, so they cannot share a
+// fixed pool's workers; the runtime hands each lane a thread of its own and
+// takes it back when the lane is drained, growing only when more lanes run
+// at once than ever before.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
+#include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -66,5 +76,66 @@ class ThreadPool {
 /// hardware_concurrency() - 1 workers: callers of parallel_for take part in
 /// the work, so together they fill every core without oversubscribing.
 ThreadPool& device_pool();
+
+/// Grow-only set of parked threads for tasks that block on each other: the
+/// real executor's lanes, and the encoder's speculation beside them. A
+/// batch hands each of its tasks to an idle thread, starting threads only
+/// when too few are idle, and a thread returns to the idle set before its
+/// batch counts it finished — so back-to-back batches of the same width
+/// start no thread after the first.
+class LaneRuntime {
+ public:
+  /// fn(0), ..., fn(count - 1), each on its own runtime thread. Either every
+  /// task starts or none does (the constructor throws). Destroying the
+  /// batch joins it.
+  class Batch {
+   public:
+    Batch(LaneRuntime& runtime, int count, std::function<void(int)> fn);
+    ~Batch();
+
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+    /// Waits until every task has returned and its thread is parked again;
+    /// rethrows the first exception a task threw.
+    void join();
+
+   private:
+    friend class LaneRuntime;
+    LaneRuntime& runtime_;
+    std::function<void(int)> fn_;
+    int pending_ = 0;  ///< guarded by runtime_.mutex_
+    std::condition_variable done_;
+    std::exception_ptr error_;
+  };
+
+  LaneRuntime() = default;
+  ~LaneRuntime();
+
+  LaneRuntime(const LaneRuntime&) = delete;
+  LaneRuntime& operator=(const LaneRuntime&) = delete;
+
+  /// Threads started over the runtime's life (it never stops one early).
+  std::size_t threads_started() const { return started_.load(); }
+
+ private:
+  struct Worker {
+    std::thread thread;
+    std::condition_variable wake;
+    Batch* batch = nullptr;  ///< assigned task, guarded by mutex_
+    int index = 0;
+  };
+
+  void worker_loop(Worker* w);
+
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<Worker*> idle_;
+  bool stop_ = false;
+  std::atomic<std::size_t> started_{0};
+};
+
+/// The process-wide lane runtime, created on first use with no threads.
+LaneRuntime& lane_runtime();
 
 }  // namespace feves

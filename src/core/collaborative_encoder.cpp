@@ -5,7 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
+#include <optional>
 
 namespace feves {
 
@@ -198,6 +198,7 @@ FrameStats CollaborativeEncoder::encode_frame(const Frame420& cur,
                               std::max(0.0, sched_ms - sd.lb.lp_solve_ms));
       }
 
+      Timer stage_timer;
       for (int i = 0; i < topo_.num_devices(); ++i) {
         if (!topo_.devices[i].is_accelerator()) continue;
         if (!active[i]) {
@@ -213,56 +214,71 @@ FrameStats CollaborativeEncoder::encode_frame(const Frame420& cur,
                              refs_.ref(0).recon.y, &staged_[i]);
         }
       }
+      if (trace != nullptr) {
+        trace->add_host_event(frame, "mirror_stage", obs::EventKind::kSched,
+                              stage_timer.elapsed_ms());
+      }
 
       RealBackend backend(job, mirrors_, topo_, tier_, dist.sme);
       FrameOpIds ids;
       const OpGraph graph =
           build_frame_graph(topo_, dist, sd.plans, backend, &ids);
 
-      // Speculation thread: while this frame executes, solve frame+1's
-      // schedule from the pre-fold characterization, plan its transfers on
-      // a copy of the Data Access state, and prestage the frame-agnostic
-      // mirror buffers. Disjoint state from the execution (the executor
-      // touches job/mirrors/refs; the speculation touches the balancer's
-      // warm cache, a DAM clone and staged_), so no synchronization beyond
-      // the join. std::async's future joins on destruction, keeping
-      // exception unwinds safe.
+      // The frame's shadow, on a lane-runtime thread while this frame
+      // executes: prestage every active accelerator's mirror buffers for
+      // frame+1 (re-poison the slot trimmed off its window, reset the MV
+      // fields) and, once every active device is characterized, solve
+      // frame+1's schedule from the pre-fold characterization and plan its
+      // transfers on a copy of the Data Access state. Disjoint state from
+      // the execution (the executor touches job/mirrors/refs; the shadow
+      // touches the balancer's warm cache, a DAM clone and staged_), so no
+      // synchronization beyond the join. The batch joins on destruction,
+      // keeping exception unwinds safe.
       // Recycled from the consumed slot: params capacity and the DAM copy
       // survive, so steady-state speculation allocates nothing up front.
       PipelineSlot next = std::move(slot_);
       next.valid = false;
-      std::future<void> spec;
-      if (opts_.enable_pipeline && perf_.initialized(&active)) {
+      const bool speculate =
+          opts_.enable_pipeline && perf_.initialized(&active);
+      const int next_refs = std::min(active_refs + 1, cfg_.num_ref_frames);
+      if (speculate) {
         next.frame = frame + 1;
-        next.active_refs = std::min(active_refs + 1, cfg_.num_ref_frames);
+        next.active_refs = next_refs;
         next.active = active;
         next.rf_holder = dist.rstar_device;
         next.params.resize(static_cast<std::size_t>(topo_.num_devices()));
         for (int i = 0; i < topo_.num_devices(); ++i) {
           next.params[i] = perf_.params(i);
         }
-        spec = std::async(std::launch::async, [this, &next, &active] {
+      }
+      std::optional<LaneRuntime::Batch> shadow;
+      if (opts_.enable_pipeline) {
+        shadow.emplace(lane_runtime(), 1, [&](int) {
           Timer spec_timer;
-          if (next.dam.has_value()) {
-            *next.dam = dam_;  // plan against a copy; commit only on a hit
-          } else {
-            next.dam.emplace(dam_);
+          if (speculate) {
+            if (next.dam.has_value()) {
+              *next.dam = dam_;  // plan against a copy; commit only on a hit
+            } else {
+              next.dam.emplace(dam_);
+            }
+            next.sched = compute_schedule(opts_, balancer_, perf_, health_,
+                                          *next.dam, next.active,
+                                          next.rf_holder, next.active_refs);
           }
-          next.sched =
-              compute_schedule(opts_, balancer_, perf_, health_, *next.dam,
-                               next.active, next.rf_holder, next.active_refs);
           for (int i = 0; i < topo_.num_devices(); ++i) {
             if (topo_.devices[i].is_accelerator() && active[i]) {
-              prestage_mirror(staged_[i], cfg_, next.active_refs);
+              prestage_mirror(staged_[i], cfg_, next_refs);
             }
           }
-          next.cost_ms = spec_timer.elapsed_ms();
-          next.valid = true;
+          if (speculate) {
+            next.cost_ms = spec_timer.elapsed_ms();
+            next.valid = true;
+          }
         });
       }
 
       const ExecutionResult result = execute_real(graph, topo_, exec_opts);
-      if (spec.valid()) spec.get();
+      if (shadow.has_value()) shadow->join();
       stats.total_ms += result.makespan_ms;
       if (trace != nullptr) trace->fold_execution();
 

@@ -88,8 +88,8 @@ class CollaborativeEncoder {
   std::vector<bool> mirror_stale_;
   int next_frame_ = 0;
   int rf_holder_ = 0;
-  /// Next frame's speculative schedule, produced on a concurrent
-  /// speculation thread while the current frame executes.
+  /// Next frame's speculative schedule, produced in the shadow of the
+  /// current frame's execution on a lane-runtime thread.
   PipelineSlot slot_;
   /// Per-device prestaged mirror buffers (the pipeline's double buffer).
   std::vector<MirrorStage> staged_;

@@ -83,13 +83,14 @@ struct FrameworkOptions {
   /// Two-slot frame pipeline: after frame n succeeds, frame n+1's LP solve,
   /// transfer planning and (real mode) mirror prestaging run in the shadow
   /// of frame n's execution — in real mode on a genuinely concurrent
-  /// speculation thread — and are consumed next frame only if the device
-  /// set, R* placement, reference window and characterization still match
-  /// (drift < lb.convergence_epsilon). Any mismatch (fault retry, grant
-  /// churn, perturbation spike) discards the slot and re-solves
-  /// synchronously from fresh state, so adaptation latency and output are
-  /// bit-identical to the unpipelined loop; only the critical-path
-  /// scheduling cost changes.
+  /// lane-runtime thread, where mirror prestaging runs on every frame (it
+  /// needs no characterization) — and the schedule is consumed next frame
+  /// only if the device set, R* placement, reference window and
+  /// characterization still match (drift < lb.convergence_epsilon). Any
+  /// mismatch (fault retry, grant churn, perturbation spike) discards the
+  /// slot and re-solves synchronously from fresh state, so adaptation
+  /// latency and output are bit-identical to the unpipelined loop; only the
+  /// critical-path scheduling cost changes.
   bool enable_pipeline = true;
 };
 

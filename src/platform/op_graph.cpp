@@ -1,11 +1,13 @@
 #include "platform/op_graph.hpp"
 
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "platform/pool.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -128,6 +130,171 @@ obs::TraceEvent op_event(const PlatformTopology& topo,
   e.status = event_status(s);
   return e;
 }
+
+/// Shared state of one execute_real call. Every lane drains its FIFO on
+/// its own thread and parks only when its head op has unsettled
+/// dependencies. Each op carries a count of them; settling an op counts
+/// its dependents down and wakes exactly the lanes parked on a dependent
+/// that reached zero — no lane wakes to find it still has to wait.
+class RealRun {
+ public:
+  RealRun(const RealRun&) = delete;
+  RealRun& operator=(const RealRun&) = delete;
+
+  RealRun(const OpGraph& graph, const PlatformTopology& topo,
+          const ExecuteOptions& opts, ExecutionResult* result)
+      : graph_(graph),
+        topo_(topo),
+        opts_(opts),
+        result_(*result),
+        lanes_(build_lanes(graph, topo)),
+        sync_(std::make_unique<LaneSync[]>(lanes_.size())),
+        lane_of_(static_cast<std::size_t>(graph.size())),
+        unsettled_(static_cast<std::size_t>(graph.size())),
+        dependents_begin_(static_cast<std::size_t>(graph.size()) + 1, 0),
+        messages_(static_cast<std::size_t>(graph.size())) {
+    const std::vector<Op>& ops = graph.ops();
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+      if (lanes_[lane].empty()) continue;
+      busy_.push_back(static_cast<int>(lane));
+      for (int id : lanes_[lane]) lane_of_[id] = static_cast<int>(lane);
+    }
+    // Reverse edges in CSR form: dependents of op i are
+    // dependents_[dependents_begin_[i], dependents_begin_[i + 1]).
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      unsettled_[i] = static_cast<int>(ops[i].deps.size());
+      for (int d : ops[i].deps) ++dependents_begin_[d + 1];
+    }
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      dependents_begin_[i + 1] += dependents_begin_[i];
+    }
+    dependents_.resize(static_cast<std::size_t>(dependents_begin_.back()));
+    std::vector<int> fill(dependents_begin_.begin(),
+                          dependents_begin_.end() - 1);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      for (int d : ops[i].deps) dependents_[fill[d]++] = static_cast<int>(i);
+    }
+    clock_.reset();  // op times and the makespan start here
+  }
+
+  /// Indices of the lanes with at least one op.
+  const std::vector<int>& busy_lanes() const { return busy_; }
+
+  /// Runs `lane`'s ops in FIFO order, each once its dependencies settled.
+  void drain(int lane) {
+    // One trace writer per lane: emission stays single-producer on its
+    // ring even though every lane runs concurrently.
+    obs::WriterLease trace(opts_.tracer);
+    for (int id : lanes_[static_cast<std::size_t>(lane)]) {
+      wait_ready(lane, id);
+      const Op& op = graph_.ops()[id];
+      bool deps_ok = true;
+      for (int d : op.deps) deps_ok &= result_.status[d] == OpStatus::kOk;
+      if (!deps_ok) {
+        // A dependency did not complete: cancel instead of running on
+        // poisoned inputs, and keep draining this lane.
+        result_.status[id] = OpStatus::kCancelled;
+        settle(id);
+        trace.emit(
+            op_event(topo_, opts_, op, OpTimes{}, OpStatus::kCancelled));
+        continue;
+      }
+
+      const FaultPlan::Action action =
+          opts_.faults.action(op.device, op.resource);
+      const double t0 = clock_.elapsed_ms();
+      OpStatus status = OpStatus::kOk;
+      std::string message;
+      if (action == FaultPlan::Action::kError) {
+        status = OpStatus::kFailed;
+        message = "injected fault";
+      } else if (action == FaultPlan::Action::kHang) {
+        // The hung op holds its lane past the watchdog deadline, then the
+        // executor declares it dead; its (never produced) outputs stay
+        // unusable, so dependents are cancelled.
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(opts_.hang_sleep_ms));
+        status = OpStatus::kTimedOut;
+        message = "injected hang exceeded watchdog deadline";
+      } else if (op.work) {
+        try {
+          op.work();
+        } catch (const std::exception& e) {
+          status = OpStatus::kFailed;
+          message = e.what();
+        } catch (...) {
+          status = OpStatus::kFailed;
+          message = "unknown exception";
+        }
+      }
+      const double t1 = clock_.elapsed_ms();
+      if (status == OpStatus::kOk && opts_.watchdog_ms > 0.0 &&
+          t1 - t0 > opts_.watchdog_ms) {
+        status = OpStatus::kTimedOut;
+        message = "exceeded watchdog deadline";
+      }
+      result_.times[id] = {t0, t1};
+      result_.status[id] = status;
+      messages_[id] = std::move(message);
+      settle(id);
+      trace.emit(op_event(topo_, opts_, op, OpTimes{t0, t1}, status));
+    }
+  }
+
+  /// Failure list, once every lane is drained.
+  void collect(ExecutionResult* result) const {
+    collect_failures(graph_, messages_, result);
+  }
+
+ private:
+  /// Per-lane parking spot. `mutex` guards `parked_on` and the unsettled_
+  /// counts of the lane's ops.
+  struct LaneSync {
+    std::mutex mutex;
+    std::condition_variable cv;
+    int parked_on = -1;  ///< op the lane waits for
+  };
+
+  void wait_ready(int lane, int id) {
+    LaneSync& s = sync_[static_cast<std::size_t>(lane)];
+    std::unique_lock lock(s.mutex);
+    if (unsettled_[id] == 0) return;
+    s.parked_on = id;
+    s.cv.wait(lock, [&] { return unsettled_[id] == 0; });
+    s.parked_on = -1;
+  }
+
+  /// Publishes op `id`'s outcome (written before this call) to its
+  /// dependents: each count drops under the dependent's lane mutex, which
+  /// orders every settled dependency's outcome before the lane reads it.
+  /// A lane wakes only when the op it is parked on reaches zero.
+  void settle(int id) {
+    for (int k = dependents_begin_[id]; k < dependents_begin_[id + 1]; ++k) {
+      const int dep = dependents_[static_cast<std::size_t>(k)];
+      LaneSync& s = sync_[static_cast<std::size_t>(lane_of_[dep])];
+      bool wake;
+      {
+        std::lock_guard lock(s.mutex);
+        wake = --unsettled_[dep] == 0 && s.parked_on == dep;
+      }
+      if (wake) s.cv.notify_one();
+    }
+  }
+
+  const OpGraph& graph_;
+  const PlatformTopology& topo_;
+  const ExecuteOptions& opts_;
+  ExecutionResult& result_;
+  std::vector<std::vector<int>> lanes_;
+  std::unique_ptr<LaneSync[]> sync_;
+  std::vector<int> lane_of_;
+  std::vector<int> busy_;
+  std::vector<int> unsettled_;  ///< per op; guarded by its lane's mutex
+  std::vector<int> dependents_begin_;
+  std::vector<int> dependents_;
+  std::vector<std::string> messages_;
+  Timer clock_;
+};
 
 }  // namespace
 
@@ -272,97 +439,20 @@ ExecutionResult execute_real(const OpGraph& graph,
   result.status.assign(graph.size(), OpStatus::kOk);
   if (graph.empty()) return result;
 
-  auto lanes = build_lanes(graph, topo);
-  std::vector<bool> settled(graph.size(), false);
-  std::vector<std::string> messages(graph.size());
-  std::mutex mutex;
-  std::condition_variable cv;
-
-  Timer clock;
-  auto lane_worker = [&](const std::vector<int>& queue) {
-    // One trace writer per lane worker: emission stays single-producer on
-    // its ring even though every lane runs concurrently.
-    obs::WriterLease trace(opts.tracer);
-    for (int id : queue) {
-      const Op& op = graph.ops()[id];
-      bool deps_ok = true;
-      {
-        std::unique_lock lock(mutex);
-        cv.wait(lock, [&] {
-          for (int d : op.deps) {
-            if (!settled[d]) return false;
-          }
-          return true;
+  RealRun run(graph, topo, opts, &result);
+  {
+    // The caller drains the first lane itself; every other lane gets a
+    // parked runtime thread. The batch joins before `run` goes away.
+    const std::vector<int>& busy = run.busy_lanes();
+    LaneRuntime::Batch others(
+        lane_runtime(), static_cast<int>(busy.size()) - 1,
+        [&run, &busy](int k) {
+          run.drain(busy[static_cast<std::size_t>(k) + 1]);
         });
-        for (int d : op.deps) {
-          deps_ok &= result.status[d] == OpStatus::kOk;
-        }
-        if (!deps_ok) {
-          // A dependency did not complete: cancel instead of running on
-          // poisoned inputs, and keep draining this lane.
-          result.status[id] = OpStatus::kCancelled;
-          settled[id] = true;
-          cv.notify_all();
-          trace.emit(
-              op_event(topo, opts, op, OpTimes{}, OpStatus::kCancelled));
-          continue;
-        }
-      }
-
-      const FaultPlan::Action action =
-          opts.faults.action(op.device, op.resource);
-      const double t0 = clock.elapsed_ms();
-      OpStatus status = OpStatus::kOk;
-      std::string message;
-      if (action == FaultPlan::Action::kError) {
-        status = OpStatus::kFailed;
-        message = "injected fault";
-      } else if (action == FaultPlan::Action::kHang) {
-        // The hung op holds its lane past the watchdog deadline, then the
-        // executor declares it dead; its (never produced) outputs stay
-        // unusable, so dependents are cancelled.
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(opts.hang_sleep_ms));
-        status = OpStatus::kTimedOut;
-        message = "injected hang exceeded watchdog deadline";
-      } else {
-        if (op.work) {
-          try {
-            op.work();
-          } catch (const std::exception& e) {
-            status = OpStatus::kFailed;
-            message = e.what();
-          } catch (...) {
-            status = OpStatus::kFailed;
-            message = "unknown exception";
-          }
-        }
-      }
-      const double t1 = clock.elapsed_ms();
-      if (status == OpStatus::kOk && opts.watchdog_ms > 0.0 &&
-          t1 - t0 > opts.watchdog_ms) {
-        status = OpStatus::kTimedOut;
-        message = "exceeded watchdog deadline";
-      }
-      {
-        std::lock_guard lock(mutex);
-        result.times[id] = {t0, t1};
-        result.status[id] = status;
-        messages[id] = std::move(message);
-        settled[id] = true;
-      }
-      cv.notify_all();
-      trace.emit(op_event(topo, opts, op, OpTimes{t0, t1}, status));
-    }
-  };
-
-  std::vector<std::thread> workers;
-  for (const auto& queue : lanes) {
-    if (!queue.empty()) workers.emplace_back(lane_worker, std::cref(queue));
+    run.drain(busy.front());
+    others.join();
   }
-  for (auto& w : workers) w.join();
-
-  collect_failures(graph, messages, &result);
+  run.collect(&result);
   finish_makespan(&result);
   return result;
 }

@@ -9,7 +9,9 @@
 //   * execute_virtual — discrete-event simulation over the calibrated cost
 //     model (figure benches; no pixels touched);
 //   * execute_real    — host threads running the actual kernel closures with
-//     wall-clock measurement (correctness tests, examples).
+//     wall-clock measurement (correctness tests, examples). Its lanes run
+//     on lane_runtime()'s parked threads (common/thread_pool.hpp), shared
+//     by every caller in the process.
 #pragma once
 
 #include "common/check.hpp"
@@ -184,6 +186,10 @@ ExecutionResult execute_virtual(const OpGraph& graph,
 /// time. Resource FIFO order and dependencies are honoured exactly as in
 /// virtual mode, and fault/cancellation semantics mirror execute_virtual:
 /// the same injected fault yields the same per-op statuses in both modes.
+/// The caller drains one lane; every other non-empty lane runs on a thread
+/// of lane_runtime(), parked between ops until the settling of its head
+/// op's last dependency wakes it. Safe to call from several threads at
+/// once; the runtime grows to the widest concurrent demand and no further.
 ExecutionResult execute_real(const OpGraph& graph,
                              const PlatformTopology& topo,
                              const ExecuteOptions& opts = {});

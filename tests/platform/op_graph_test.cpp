@@ -1,11 +1,15 @@
 #include "platform/op_graph.hpp"
 
+#include "common/thread_pool.hpp"
 #include "platform/presets.hpp"
 #include "platform/perturbation.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
 
 namespace feves {
 namespace {
@@ -158,6 +162,107 @@ TEST(RealExecutor, CapturesWorkExceptionsWithAttribution) {
     EXPECT_NE(msg.find("SF_in"), std::string::npos);
     EXPECT_NE(msg.find("device 1"), std::string::npos);
     EXPECT_NE(msg.find(resource_name(OpResource::kCopyH2D)), std::string::npos);
+  }
+}
+
+/// Start and end tickets of every op of one graph, from one shared clock.
+struct OrderLog {
+  explicit OrderLog(int ops)
+      : start(static_cast<std::size_t>(ops), -1),
+        end(static_cast<std::size_t>(ops), -1) {}
+  std::atomic<int> tick{0};
+  std::vector<int> start;  ///< written by the op's own lane only
+  std::vector<int> end;
+};
+
+/// A frame-shaped graph over every device of `topo`, the shape
+/// build_frame_graph gives PoolBig: per device a stage-in on its H2D lane,
+/// a kernel after it and after the previous device's stage-in (a
+/// cross-lane edge), and a gather on its D2H lane; a last kernel on device
+/// 0 joins every gather. Every op logs its start and end ticket.
+OpGraph frame_shaped_graph(const PlatformTopology& topo,
+                           std::unique_ptr<OrderLog>* log) {
+  const int n = topo.num_devices();
+  *log = std::make_unique<OrderLog>(3 * n + 1);
+  OrderLog* l = log->get();
+  OpGraph g;
+  auto add = [&](int device, OpResource res, std::vector<int> deps) {
+    Op op = make_op(device, res, 0.0, std::move(deps));
+    const int id = g.size();
+    op.work = [l, id] {
+      l->start[static_cast<std::size_t>(id)] = l->tick.fetch_add(1);
+      l->end[static_cast<std::size_t>(id)] = l->tick.fetch_add(1);
+    };
+    return g.add(std::move(op));
+  };
+  std::vector<int> gathers;
+  int prev_in = -1;
+  for (int d = 0; d < n; ++d) {
+    const int in = add(d, OpResource::kCopyH2D, {});
+    std::vector<int> kdeps{in};
+    if (prev_in >= 0) kdeps.push_back(prev_in);
+    const int kernel = add(d, OpResource::kCompute, kdeps);
+    gathers.push_back(add(d, OpResource::kCopyD2H, {kernel}));
+    prev_in = in;
+  }
+  add(0, OpResource::kCompute, gathers);
+  return g;
+}
+
+/// Every op ran, and each one started after all its dependencies ended.
+bool ran_in_dependency_order(const OpGraph& g, const OrderLog& log,
+                             const ExecutionResult& r) {
+  if (!r.ok()) return false;
+  for (int id = 0; id < g.size(); ++id) {
+    const int start = log.start[static_cast<std::size_t>(id)];
+    if (start < 0) return false;
+    for (int d : g.ops()[id].deps) {
+      if (log.end[static_cast<std::size_t>(d)] >= start) return false;
+    }
+  }
+  return true;
+}
+
+TEST(RealExecutor, BackToBackCallsStartNoThreadAfterTheFirst) {
+  // The lanes run on the process-wide lane runtime's parked threads: the
+  // first call grows it to the graph's width, later calls of the same
+  // width reuse those threads instead of spawning their own.
+  const PlatformTopology topo = make_pool_big();
+  std::unique_ptr<OrderLog> log;
+  const OpGraph g = frame_shaped_graph(topo, &log);
+  ASSERT_TRUE(ran_in_dependency_order(g, *log, execute_real(g, topo)));
+  const std::size_t started = lane_runtime().threads_started();
+  EXPECT_GT(started, 0u);
+  for (int call = 1; call < 200; ++call) {
+    const OpGraph again = frame_shaped_graph(topo, &log);
+    ASSERT_TRUE(ran_in_dependency_order(again, *log, execute_real(again, topo)))
+        << "call " << call;
+  }
+  EXPECT_EQ(lane_runtime().threads_started(), started);
+}
+
+TEST(RealExecutor, ConcurrentCallersCompleteInDependencyOrder) {
+  // Four callers share the runtime, each executing its own graph over and
+  // over: every call completes and honours its own dependencies.
+  const PlatformTopology topo = make_pool_big();
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 25;
+  std::vector<int> good(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&topo, &good, c] {
+      for (int call = 0; call < kCalls; ++call) {
+        std::unique_ptr<OrderLog> log;
+        const OpGraph g = frame_shaped_graph(topo, &log);
+        const ExecutionResult r = execute_real(g, topo);
+        good[static_cast<std::size_t>(c)] +=
+            ran_in_dependency_order(g, *log, r) ? 1 : 0;
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(good[static_cast<std::size_t>(c)], kCalls) << "caller " << c;
   }
 }
 

@@ -37,11 +37,19 @@ run_bounded() {
 }
 
 # Executors + fault machinery, the thread pool (including concurrent
-# callers on one pool), and the end-to-end recovery loops (real mode spawns
-# one thread per lane every attempt).
+# callers on one pool), and the end-to-end recovery loops (real mode runs
+# every lane of every attempt on the process-wide lane runtime's parked
+# threads, woken per op by the lane whose op unblocked them). The
+# *Executor* filter includes the lane-runtime tests: back-to-back calls
+# that must start no thread, and four concurrent callers.
 run_bounded "$BUILD/tests/test_platform" --gtest_filter='*Executor*:*Fault*:*Schedule*:OpGraph.*:DevicePool.*:DeviceLease.*:*Arbiter*'
 run_bounded "$BUILD/tests/test_common" --gtest_filter='ThreadPool*:LogRace*'
 run_bounded "$BUILD/tests/test_core" --gtest_filter='FaultRecovery*:DeviceHealthMonitor.*'
+
+# Row-granular mirror staging: lanes mark mirror dirty-row ledgers
+# concurrently while the speculation thread re-poisons the stage's slot
+# (TSan); the incremental re-poison writes exact row spans (ASan).
+run_bounded "$BUILD/tests/test_core" --gtest_filter='MirrorTripwire.*'
 
 # Multi-core real-mode devices: every lane fans its rows over the one
 # process-wide device pool. TSan covers lanes sharing that pool and the R*
