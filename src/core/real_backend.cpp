@@ -60,16 +60,15 @@ bool fits(const RefMirror& slot, const EncoderConfig& cfg, int border) {
 }
 
 /// A slot for the newest reference with every SF byte poisoned: `slot`
-/// itself, re-poisoned over its dirty rows, when its geometry fits;
-/// otherwise a new slot poisoned whole.
+/// itself when its geometry fits, otherwise a new one. The SF planes are
+/// poisoned whole: at recycle nearly every row of them holds data (σ and
+/// the SF transfers cover most of a frame on every device).
 std::unique_ptr<RefMirror> poisoned_slot(std::unique_ptr<RefMirror> slot,
                                          const EncoderConfig& cfg) {
   const int border = ref_border(cfg);
-  if (slot != nullptr && fits(*slot, cfg, border)) {
-    slot->sf_dirty.repoison(slot->sf.phases);
-    return slot;
+  if (slot == nullptr || !fits(*slot, cfg, border)) {
+    slot = std::make_unique<RefMirror>(cfg.width, cfg.height, border);
   }
-  slot = std::make_unique<RefMirror>(cfg.width, cfg.height, border);
   for (auto& plane : slot->sf.phases) plane.fill(DeviceMirror::kPoison);
   return slot;
 }
@@ -81,88 +80,23 @@ void reset_fields(std::vector<MotionField>& fields, const EncoderConfig& cfg,
   for (MotionField& f : fields) f.assign(mbs, MbMotion{});
 }
 
-/// Brings the CF plane to all-poison: whole when `whole` or when it is
-/// (re)allocated, else over the rows written since it was last poisoned.
-void poison_cf(DeviceMirror& mirror, const EncoderConfig& cfg, bool whole) {
+/// Poisons the CF plane whole, (re)allocating it on a geometry change.
+void poison_cf(DeviceMirror& mirror, const EncoderConfig& cfg) {
   const int border = ref_border(cfg);
   if (mirror.cf_y.width() != cfg.width ||
       mirror.cf_y.height() != cfg.height || mirror.cf_y.border() != border) {
     mirror.cf_y = PlaneU8(cfg.width, cfg.height, border);
-    mirror.cf_dirty = DeviceMirror::DirtyRows(cfg.mb_height());
-    whole = true;
   }
-  if (whole) {
-    mirror.cf_y.fill(DeviceMirror::kPoison);
-    mirror.cf_dirty.clear();
-  } else {
-    mirror.cf_dirty.repoison({&mirror.cf_y, 1});
-  }
+  mirror.cf_y.fill(DeviceMirror::kPoison);
 }
 
 }  // namespace
 
-void DeviceMirror::DirtyRows::mark(RowInterval mb_rows) {
-  for (int r = mb_rows.begin; r < mb_rows.end; ++r) {
-    bands_[static_cast<std::size_t>(r) + 1].store(true,
-                                                  std::memory_order_relaxed);
-  }
-}
-
-void DeviceMirror::DirtyRows::mark_borders(bool top, bool bottom) {
-  if (top) bands_.front().store(true, std::memory_order_relaxed);
-  if (bottom) bands_.back().store(true, std::memory_order_relaxed);
-}
-
-void DeviceMirror::DirtyRows::mark_all() {
-  for (auto& b : bands_) b.store(true, std::memory_order_relaxed);
-}
-
-void DeviceMirror::DirtyRows::clear() {
-  for (auto& b : bands_) b.store(false, std::memory_order_relaxed);
-}
-
-void DeviceMirror::DirtyRows::repoison(std::span<PlaneU8> planes) {
-  if (planes.empty()) return;
-  const PlaneU8& shape = planes.front();
-  const int mb_rows = static_cast<int>(bands_.size()) - 2;
-  FEVES_CHECK(mb_rows == ceil_div(shape.height(), kMbSize));
-  // Pixel rows of band `b` (0 = top border, mb_rows + 1 = bottom border).
-  auto first_row = [&](int b) {
-    if (b == 0) return -shape.border();
-    return std::min((b - 1) * kMbSize, shape.height());
-  };
-  const int n = static_cast<int>(bands_.size());
-  for (int b = 0; b < n;) {
-    if (!bands_[static_cast<std::size_t>(b)].load(std::memory_order_relaxed)) {
-      ++b;
-      continue;
-    }
-    // One run of consecutive marked bands is one contiguous span of rows.
-    int e = b;
-    while (e < n &&
-           bands_[static_cast<std::size_t>(e)].load(std::memory_order_relaxed)) {
-      bands_[static_cast<std::size_t>(e)].store(false,
-                                                std::memory_order_relaxed);
-      ++e;
-    }
-    const int y0 = first_row(b);
-    const int y1 = e == n ? shape.height() + shape.border() : first_row(e);
-    for (PlaneU8& plane : planes) {
-      FEVES_CHECK(plane.same_geometry(shape));
-      // Rows are contiguous at stride pitch, border columns included.
-      std::memset(plane.row(y0) - plane.border(), DeviceMirror::kPoison,
-                  static_cast<std::size_t>(y1 - y0) *
-                      static_cast<std::size_t>(plane.stride()));
-    }
-    b = e;
-  }
-}
-
 void prestage_mirror(MirrorStage& stage, const EncoderConfig& cfg,
                      int active_refs) {
   // Recycle, in preference order: an unconsumed slot from a discarded
-  // stage (already all poison, its ledger empty), or the spare that
-  // begin_frame_mirror trimmed off the mirror window last frame.
+  // stage, or the spare that begin_frame_mirror trimmed off the mirror
+  // window last frame.
   std::unique_ptr<RefMirror> slot = std::move(stage.fresh);
   if (slot == nullptr) slot = std::move(stage.spare);
   stage.fresh = poisoned_slot(std::move(slot), cfg);
@@ -176,7 +110,7 @@ void prestage_mirror(MirrorStage& stage, const EncoderConfig& cfg,
 void begin_frame_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
                         int active_refs, const PlaneU8& newest_recon_y,
                         MirrorStage* staged) {
-  poison_cf(mirror, cfg, /*whole=*/false);
+  poison_cf(mirror, cfg);
 
   std::unique_ptr<RefMirror> fresh;
   if (staged != nullptr && staged->valid &&
@@ -218,11 +152,11 @@ void begin_frame_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
 void restage_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
                     int active_refs, const RefList& refs) {
   FEVES_CHECK(refs.size() >= active_refs);
-  poison_cf(mirror, cfg, /*whole=*/true);
+  poison_cf(mirror, cfg);
   const int border = ref_border(cfg);
 
   // The window's slots are reused in place; their contents are rewritten
-  // whole below, so their ledgers start over.
+  // whole below.
   std::deque<std::unique_ptr<RefMirror>> old = std::move(mirror.refs);
   mirror.refs.clear();
   for (int r = 0; r < active_refs; ++r) {
@@ -238,12 +172,10 @@ void restage_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
     if (r == 0) {
       // The newest reference's SF is interpolated during this frame.
       for (auto& plane : rm->sf.phases) plane.fill(DeviceMirror::kPoison);
-      rm->sf_dirty.clear();
     } else {
       for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
         copy_full_plane(refs.ref(r).sf.phases[ph], rm->sf.phases[ph]);
       }
-      rm->sf_dirty.mark_all();
     }
     mirror.refs.push_back(std::move(rm));
   }
@@ -306,7 +238,6 @@ OpPayload RealBackend::op_int(int device, RowInterval rows) {
   return {0.0, 0.0, [this, device, rows] {
             DeviceMirror& m = mirrors_[device];
             pool_.parallel_for(rows.begin, rows.end, [&](int y) {
-              m.refs[0]->sf_dirty.mark({y, y + 1});
               run_interpolation_rows(m.refs[0]->recon_y, y, y + 1,
                                      m.refs[0]->sf, tier_);
               // Local slices must carry valid horizontal borders for SME's
@@ -359,7 +290,6 @@ OpPayload RealBackend::op_sme(int device, RowInterval rows) {
             copy_field_rows(m.fields, m.refined, rows,
                             job_.cfg->mb_width());
             for (std::size_t r = 0; r < job_.refs.size(); ++r) {
-              m.refs[r]->sf_dirty.mark_borders(top, bottom);
               for (auto& plane : m.refs[r]->sf.phases) {
                 plane.extend_vertical_borders(top, bottom);
               }
@@ -429,7 +359,6 @@ OpPayload RealBackend::op_xfer(int device, XferPurpose purpose,
               case XferPurpose::kCfSme:
               case XferPurpose::kCfMc:
                 for (const RowInterval& f : frags) {
-                  m.cf_dirty.mark(f);
                   copy_pixel_rows(job_.cur->y, m.cf_y, f, false);
                 }
                 break;
@@ -440,7 +369,6 @@ OpPayload RealBackend::op_xfer(int device, XferPurpose purpose,
                 SubPelFrame& dst = m.refs[0]->sf;
                 const SubPelFrame& src = job_.refs[0]->sf;
                 for (const RowInterval& f : frags) {
-                  m.refs[0]->sf_dirty.mark(f);
                   for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
                     copy_pixel_rows(src.phases[ph], dst.phases[ph], f, true);
                   }
@@ -453,7 +381,6 @@ OpPayload RealBackend::op_xfer(int device, XferPurpose purpose,
                 SubPelFrame& dst = m.refs[1]->sf;
                 const SubPelFrame& src = job_.refs[1]->sf;
                 for (const RowInterval& f : frags) {
-                  m.refs[1]->sf_dirty.mark(f);
                   for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
                     copy_pixel_rows(src.phases[ph], dst.phases[ph], f, true);
                   }

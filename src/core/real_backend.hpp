@@ -18,53 +18,22 @@
 #include "common/thread_pool.hpp"
 #include "core/backend.hpp"
 
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 
 namespace feves {
 
 /// Device-local copies of the distribution-sensitive buffers.
 struct DeviceMirror {
-  /// Dirty-row ledger of a mirror plane (or of a set of planes written
-  /// together, like the 16 SF phases): the row bands written since the
-  /// plane last held only poison. A band is the top border, one MB row with
-  /// its horizontal border columns, or the bottom border. Every write into
-  /// a mirror plane marks its bands first, so re-poisoning the marked bands
-  /// restores the whole-plane poison state byte for byte. Marking is safe
-  /// from concurrent lanes; repoison() runs between executions.
-  class DirtyRows {
-   public:
-    DirtyRows() = default;
-    explicit DirtyRows(int mb_rows)
-        : bands_(static_cast<std::size_t>(mb_rows) + 2) {}
-
-    void mark(RowInterval mb_rows);
-    void mark_borders(bool top, bool bottom);
-    void mark_all();
-    /// Forgets every mark (the planes were just poisoned whole).
-    void clear();
-    /// Writes kPoison over every marked band of each plane, then clears.
-    void repoison(std::span<PlaneU8> planes);
-
-   private:
-    std::vector<std::atomic<bool>> bands_;
-  };
-
   struct RefMirror {
     RefMirror(int w, int h, int border)
-        : recon_y(w, h, border),
-          sf(w, h, border),
-          sf_dirty(ceil_div(h, kMbSize)) {}
+        : recon_y(w, h, border), sf(w, h, border) {}
     PlaneU8 recon_y;  ///< reference luma (ME reads this; staged whole)
     SubPelFrame sf;   ///< sub-pel planes (SME reads these)
-    DirtyRows sf_dirty;  ///< rows of `sf` written since it was poisoned
   };
 
   PlaneU8 cf_y;                       ///< current-frame luma rows
-  DirtyRows cf_dirty;                 ///< rows of `cf_y` written
   std::deque<std::unique_ptr<RefMirror>> refs;  ///< parallel to host RefList
   std::vector<MotionField> fields;    ///< raw ME MV fields, per ref
   /// SME's refined MVs land here rather than overwriting `fields` in
@@ -136,21 +105,21 @@ struct MirrorStage {
 
 /// Prepares `stage` for a frame with `active_refs` references: a poisoned
 /// slot for the newest reference — the stage's unconsumed one or its
-/// spare, re-poisoned over its dirty rows — and zeroed MV fields, exactly
+/// spare, its SF planes re-poisoned whole — and zeroed MV fields, exactly
 /// the state begin_frame_mirror would build itself.
 void prestage_mirror(MirrorStage& stage, const EncoderConfig& cfg,
                      int active_refs);
 
-/// Prepares `mirror` for the next frame: re-poisons the CF rows written
-/// last frame, takes a poisoned slot for the newest reference, stages
-/// `newest_recon_y` (the canonical newest reconstruction, borders
-/// included) into it, trims the window and resets the local MV fields. The
-/// RF_in op models the transfer time; the bytes are staged here so the
-/// R*-producing device (which skips RF_in) is handled uniformly. The slot
-/// is `staged`'s prestaged one when it matches this frame's shape;
-/// otherwise the slot this call trims off the window is recycled, its
-/// dirty rows re-poisoned (a new slot is allocated only while the window
-/// is still filling). Either path yields byte-identical mirror state.
+/// Prepares `mirror` for the next frame: poisons the CF plane, takes a
+/// poisoned slot for the newest reference, stages `newest_recon_y` (the
+/// canonical newest reconstruction, borders included) into it, trims the
+/// window and resets the local MV fields. The RF_in op models the transfer
+/// time; the bytes are staged here so the R*-producing device (which skips
+/// RF_in) is handled uniformly. The slot is `staged`'s prestaged one when
+/// it matches this frame's shape; otherwise the slot this call trims off
+/// the window is recycled with its SF planes re-poisoned whole (a new slot
+/// is allocated only while the window is still filling). Either path
+/// yields byte-identical mirror state.
 void begin_frame_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
                         int active_refs, const PlaneU8& newest_recon_y,
                         MirrorStage* staged = nullptr);
@@ -162,7 +131,7 @@ void begin_frame_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
 /// re-enters probation having missed frames. Every reference reconstruction
 /// is staged; older references also get their (already assembled, borders
 /// included) SF planes, the newest reference's SF — produced this frame —
-/// and the CF are poisoned whole, so the dirty-row ledgers start over.
+/// and the CF are poisoned just like in the incremental path.
 void restage_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
                     int active_refs, const RefList& refs);
 

@@ -181,7 +181,11 @@ class RealRun {
   const std::vector<int>& busy_lanes() const { return busy_; }
 
   /// Runs `lane`'s ops in FIFO order, each once its dependencies settled.
-  void drain(int lane) {
+  /// noexcept: an op's own failure is caught and recorded, but a throw from
+  /// anything else here (tracing, the fault plan, allocation) would leave
+  /// this lane's ops unsettled and every lane parked on them waiting
+  /// forever — terminate loudly instead.
+  void drain(int lane) noexcept {
     // One trace writer per lane: emission stays single-producer on its
     // ring even though every lane runs concurrently.
     obs::WriterLease trace(opts_.tracer);

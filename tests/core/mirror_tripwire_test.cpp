@@ -1,14 +1,14 @@
-// The poison tripwire under row-granular mirror staging. Accelerator
-// kernels read only their mirrors, and every mirror byte a frame did not
-// transfer must read DeviceMirror::kPoison — that is what makes a wrong
-// Data Access interval fail the bit-exactness tests. Mirrors are no longer
-// poisoned whole every frame: each plane's dirty-row ledger re-poisons only
-// the rows that held data. These tests drive accelerator mirrors through
-// randomized row distributions (and a fault retry that forces
-// restage_mirror) and check, after every begin_frame_mirror,
-// prestage_mirror and restage_mirror, that the CF plane and the fresh SF
-// planes are poison byte for byte, borders included — the state whole-plane
-// poisoning used to produce.
+// The poison tripwire under recycled mirror slots. Accelerator kernels
+// read only their mirrors, and every mirror byte a frame did not transfer
+// must read DeviceMirror::kPoison — that is what makes a wrong Data Access
+// interval fail the bit-exactness tests. The reference slot that leaves a
+// mirror's window is re-poisoned and reused, often in the execution's
+// shadow, and restage_mirror reuses the window's slots. These tests drive
+// accelerator mirrors through randomized row distributions (and a fault
+// retry that forces restage_mirror) and check, after every
+// begin_frame_mirror, prestage_mirror and restage_mirror, that the CF plane
+// and the fresh SF planes are poison byte for byte, borders included — the
+// state a freshly allocated, poisoned slot has.
 #include "core/coding_manager.hpp"
 #include "core/data_access.hpp"
 #include "core/real_backend.hpp"

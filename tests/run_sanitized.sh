@@ -46,9 +46,9 @@ run_bounded "$BUILD/tests/test_platform" --gtest_filter='*Executor*:*Fault*:*Sch
 run_bounded "$BUILD/tests/test_common" --gtest_filter='ThreadPool*:LogRace*'
 run_bounded "$BUILD/tests/test_core" --gtest_filter='FaultRecovery*:DeviceHealthMonitor.*'
 
-# Row-granular mirror staging: lanes mark mirror dirty-row ledgers
-# concurrently while the speculation thread re-poisons the stage's slot
-# (TSan); the incremental re-poison writes exact row spans (ASan).
+# Recycled mirror slots: a lane-runtime thread re-poisons the stage's
+# slot while the executor's lanes write the mirrors (TSan); recycled and
+# restaged slots keep their geometry and extents (ASan).
 run_bounded "$BUILD/tests/test_core" --gtest_filter='MirrorTripwire.*'
 
 # Multi-core real-mode devices: every lane fans its rows over the one
