@@ -6,6 +6,7 @@
 // bends the split away from the afflicted device within a frame.
 //
 //   ./adaptive_cluster [frames] [seed]
+#include "cli_main.hpp"
 #include "common/rng.hpp"
 #include "core/framework.hpp"
 #include "platform/presets.hpp"
@@ -14,7 +15,9 @@
 #include <cstdlib>
 #include <string>
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace feves;
   const int frames = argc > 1 ? std::atoi(argv[1]) : 60;
   const u64 seed = argc > 2 ? static_cast<u64>(std::atoll(argv[2])) : 7;
@@ -56,4 +59,10 @@ int main(int argc, char** argv) {
                 s.total_ms, s.dist.me[0], s.dist.me[1], s.dist.me[2]);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return feves::examples::guarded_main(argc, argv, "[frames] [seed]", run);
 }

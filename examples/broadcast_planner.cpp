@@ -6,13 +6,16 @@
 // encoding, which is exactly the workload the paper's intro motivates.
 //
 //   ./broadcast_planner [target_fps]
+#include "cli_main.hpp"
 #include "core/framework.hpp"
 #include "platform/presets.hpp"
 
 #include <cstdio>
 #include <cstdlib>
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace feves;
   const double target_fps = argc > 1 ? std::atof(argv[1]) : 25.0;
 
@@ -61,4 +64,10 @@ int main(int argc, char** argv) {
       "more reference frames at the same real-time constraint — the FEVES\n"
       "pitch in one table.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return feves::examples::guarded_main(argc, argv, "[target_fps]", run);
 }

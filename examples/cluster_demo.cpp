@@ -10,6 +10,7 @@
 // work, never changes bits.
 //
 //   ./cluster_demo [frames_per_session]
+#include "cli_main.hpp"
 #include "cluster/loopback_worker.hpp"
 #include "cluster/worker_manager.hpp"
 #include "codec/frame_codec.hpp"
@@ -20,7 +21,9 @@
 #include <cstdlib>
 #include <memory>
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace feves;
   using namespace feves::cluster;
   const int frames = argc > 1 ? std::atoi(argv[1]) : 8;
@@ -116,4 +119,10 @@ int main(int argc, char** argv) {
                 nc.reassigned_away);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return feves::examples::guarded_main(argc, argv, "[frames_per_session]", run);
 }

@@ -18,6 +18,7 @@
 // Exit status: 0 on success, 1 when the encode or its decode check fails,
 // 2 on bad arguments (including a configuration the encoder rejects, such
 // as a height that is not a multiple of 16).
+#include "cli_main.hpp"
 #include "codec/bitstream.hpp"
 #include "core/collaborative_encoder.hpp"
 #include "platform/presets.hpp"
@@ -48,19 +49,15 @@ struct Args {
   bool decode_check = false;
 };
 
-void print_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s (--input in.yuv | --synthetic N) --width W"
-               " --height H\n"
-               "          [--output out.fvs] [--recon out.yuv] [--frames N]\n"
-               "          [--sa N] [--refs N] [--qp N] [--system NAME]\n"
-               "          [--policy adaptive|proportional|equidistant]\n"
-               "          [--decode-check]\n",
-               argv0);
-}
+constexpr const char* kUsage =
+    "(--input in.yuv | --synthetic N) --width W --height H\n"
+    "          [--output out.fvs] [--recon out.yuv] [--frames N]\n"
+    "          [--sa N] [--refs N] [--qp N] [--system NAME]\n"
+    "          [--policy adaptive|proportional|equidistant]\n"
+    "          [--decode-check]";
 
 [[noreturn]] void usage(const char* argv0) {
-  print_usage(argv0);
+  feves::examples::print_usage(argv0, kUsage);
   std::exit(2);
 }
 
@@ -180,13 +177,6 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const feves::Error& e) {
-    // Configuration, topology and input-file errors arrive here; they are
-    // usage errors, not crashes.
-    std::fprintf(stderr, "feves_cli: %s\n", e.what());
-    print_usage(argv[0]);
-    return 2;
-  }
+  // Configuration, topology and input-file errors are usage errors.
+  return feves::examples::guarded_main(argc, argv, kUsage, run);
 }

@@ -8,6 +8,7 @@
 // the framework distributing ME/INT/SME rows across the "devices" and
 // running R* on the selected one, exactly as it would across a CPU and
 // GPUs (see DESIGN.md §1 for the hardware substitution).
+#include "cli_main.hpp"
 #include "codec/bitstream.hpp"
 #include "core/collaborative_encoder.hpp"
 #include "platform/presets.hpp"
@@ -17,7 +18,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace feves;
 
   EncoderConfig cfg;
@@ -74,4 +77,11 @@ int main(int argc, char** argv) {
               all_match ? "bit-exact" : "MISMATCH", recons.size(),
               bitstream.size());
   return all_match ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return feves::examples::guarded_main(argc, argv,
+                                       "[width height frames]", run);
 }

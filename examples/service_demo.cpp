@@ -9,6 +9,7 @@
 //
 // Writes service_session<N>.json traces (open in chrome://tracing or
 // Perfetto; tracks are named "s<session> dev<k> ...").
+#include "cli_main.hpp"
 #include "obs/trace.hpp"
 #include "platform/presets.hpp"
 #include "service/encode_service.hpp"
@@ -18,7 +19,9 @@
 #include <cstdlib>
 #include <memory>
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace feves;
   const int frames = argc > 1 ? std::atoi(argv[1]) : 8;
 
@@ -100,4 +103,10 @@ int main(int argc, char** argv) {
               "(virtual makespan %.1f ms)\n",
               st.admitted, st.total_frames, st.aggregate_fps, st.makespan_ms);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return feves::examples::guarded_main(argc, argv, "[frames_per_session]", run);
 }

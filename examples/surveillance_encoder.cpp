@@ -6,6 +6,7 @@
 // encoder's behaviour when content characteristics shift mid-stream.
 //
 //   ./surveillance_encoder [frames] [out.bin] [recon.yuv]
+#include "cli_main.hpp"
 #include "core/collaborative_encoder.hpp"
 #include "platform/presets.hpp"
 #include "video/metrics.hpp"
@@ -15,7 +16,9 @@
 #include <cstdlib>
 #include <fstream>
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace feves;
   const int frames = argc > 1 ? std::atoi(argv[1]) : 12;
   const char* out_path = argc > 2 ? argv[2] : "surveillance.bin";
@@ -72,4 +75,11 @@ int main(int argc, char** argv) {
                 cfg.width, cfg.height);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return feves::examples::guarded_main(argc, argv,
+                                       "[frames] [out.bin] [recon.yuv]", run);
 }

@@ -10,6 +10,7 @@
 // copyH2D / copyD2H), plus a host row carrying the LP-solve and scheduling
 // phases. Failed and cancelled ops are greyed/red and carry their status in
 // the args pane.
+#include "cli_main.hpp"
 #include "core/framework.hpp"
 #include "obs/trace.hpp"
 #include "platform/presets.hpp"
@@ -18,11 +19,14 @@
 #include <cstdlib>
 #include <string>
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace feves;
 
   const int frames = argc > 1 ? std::atoi(argv[1]) : 6;
   const std::string path = argc > 2 ? argv[2] : "feves.trace.json";
+  FEVES_CHECK_MSG(frames > 0, "frames must be positive");
 
   EncoderConfig cfg;
   cfg.width = 1920;
@@ -69,4 +73,11 @@ int main(int argc, char** argv) {
       session.sink.size(), path.c_str(),
       static_cast<unsigned long long>(session.tracer.dropped()));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return feves::examples::guarded_main(argc, argv,
+                                       "[frames] [out.trace.json]", run);
 }

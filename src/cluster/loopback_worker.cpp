@@ -186,14 +186,11 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
 
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    const bool real = shard.source != nullptr;
     FrameworkOptions fwo = shard.fw;
     fwo.trace = nullptr;  // worker-private loop: the manager traces instead
 
     Cached& c = cache_[shard.session];
-    const bool warm = c.frames_done == shard.frame_begin &&
-                      ((real && c.enc) || (!real && c.vfw));
-    if (!warm) {
+    if (c.enc == nullptr || c.frames_done != shard.frame_begin) {
       // Cold start (or affinity moved the session elsewhere and back):
       // rebuild from the checkpoint carried by the shard. Bit-identity
       // never depends on the warm path.
@@ -204,26 +201,19 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
       // portable; the device-local state is rebuilt exactly as a fresh
       // framework would — legal because the characterization and health
       // only steer WHERE work runs, never what bits come out.
-      SessionCheckpoint resume = shard.resume;
-      auto refit = [&](FrameworkCheckpoint* fw) {
-        if (fw->perf.num_devices() == topo_.num_devices()) return;
-        fw->perf = PerfCharacterization(topo_.num_devices(),
-                                        fwo.ewma_alpha);
-        fw->health = DeviceHealthMonitor(topo_.num_devices(), fwo.health);
-        fw->rf_holder = std::max(0, topo_.cpu_index());
-      };
-      c.vfw.reset();
-      c.enc.reset();
-      if (real) {
-        if (resume.valid) refit(&resume.enc.fw);
-        c.enc = std::make_unique<CollaborativeEncoder>(
-            shard.cfg, topo_, fwo, shard.tier, shard.device_faults);
-        if (resume.valid) c.enc->restore(resume.enc);
-      } else {
-        if (resume.valid) refit(&resume.fw);
-        c.vfw = std::make_unique<VirtualFramework>(
-            shard.cfg, topo_, fwo, shard.perturbations, shard.device_faults);
-        if (resume.valid) c.vfw->restore(resume.fw);
+      c.enc.reset();  // free the stale encoder before building its successor
+      c.enc = std::make_unique<SessionEncoder>(
+          shard.cfg, topo_, fwo, shard.source, shard.tier,
+          shard.perturbations, shard.device_faults);
+      if (shard.resume.valid) {
+        EncoderCheckpoint resume = shard.resume.enc;
+        FrameworkCheckpoint& fw = resume.fw;
+        if (fw.perf.num_devices() != topo_.num_devices()) {
+          fw.perf = PerfCharacterization(topo_.num_devices(), fwo.ewma_alpha);
+          fw.health = DeviceHealthMonitor(topo_.num_devices(), fwo.health);
+          fw.rf_holder = std::max(0, topo_.cpu_index());
+        }
+        c.enc->restore(resume);
       }
       c.frames_done = shard.frame_begin;
     }
@@ -232,7 +222,6 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
         shard.resume.valid ? shard.resume.bitstream_bytes : 0;
     const std::vector<bool> all(
         static_cast<std::size_t>(topo_.num_devices()), true);
-    Frame420 frame(shard.cfg.width, shard.cfg.height);
 
     for (int f = shard.frame_begin; f < shard.frame_end; ++f) {
       // Fault edges are honoured between frames: a hang stalls the
@@ -254,23 +243,17 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
         return;
       }
 
-      if (real) {
-        if (!shard.source->read_frame(f, frame)) {
-          r.source_exhausted = true;
-          break;
-        }
-        // Frame 0 is the host-side bootstrap I frame: no grant.
-        if (f == 0) {
-          r.frames.push_back(c.enc->encode_frame(frame, &r.bitstream));
-        } else {
-          DeviceLease lease = pool_.reserve(all);
-          r.frames.push_back(c.enc->encode_frame(
-              frame, &r.bitstream, FrameGrant{&lease.mask(), &lease}));
-        }
+      if (!c.enc->load(f)) {
+        r.source_exhausted = true;
+        break;
+      }
+      if (c.enc->bootstrap_next()) {
+        // The host-side bootstrap I frame takes no grant.
+        r.frames.push_back(c.enc->encode_frame(FrameGrant{}, &r.bitstream));
       } else {
         DeviceLease lease = pool_.reserve(all);
-        r.frames.push_back(
-            c.vfw->encode_frame(FrameGrant{&lease.mask(), &lease}));
+        r.frames.push_back(c.enc->encode_frame(
+            FrameGrant{&lease.mask(), &lease}, &r.bitstream));
       }
       ++c.frames_done;
       ++r.frames_done;
@@ -282,12 +265,7 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
     r.checkpoint.frames_recorded =
         static_cast<std::size_t>(c.frames_done);
     r.checkpoint.bitstream_bytes = base_bytes + r.bitstream.size();
-    if (real) {
-      r.checkpoint.enc = c.enc->checkpoint();
-      r.checkpoint.fw = r.checkpoint.enc.fw;
-    } else {
-      r.checkpoint.fw = c.vfw->checkpoint();
-    }
+    r.checkpoint.enc = c.enc->checkpoint();
     r.ok = true;
   } catch (const std::exception& e) {
     r.ok = false;

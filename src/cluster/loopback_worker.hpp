@@ -52,8 +52,7 @@ class LoopbackWorker : public WorkerProxy {
   /// start point rebuilds — correctness never depends on the cache.
   struct Cached {
     int frames_done = 0;
-    std::unique_ptr<VirtualFramework> vfw;
-    std::unique_ptr<CollaborativeEncoder> enc;
+    std::unique_ptr<SessionEncoder> enc;
   };
 
   /// Node fault state as of the most recent heartbeat attempt.

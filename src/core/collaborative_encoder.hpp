@@ -1,6 +1,12 @@
-// Real-mode FEVES encoder: the full Algorithm 1 loop producing an actual
-// bitstream and reconstruction, with kernels executing on host threads and
-// transfers performing genuine copies into per-device mirror buffers.
+// Real-mode FEVES encoder: the Algorithm 1 loop (frame_loop.hpp) producing
+// an actual bitstream and reconstruction, with kernels executing on host
+// threads and transfers performing genuine copies into per-device mirror
+// buffers. On top of the shared loop, this shell keeps the bootstrap I
+// frame, the job arena, the reference list and the bitstream write; its
+// hooks stage the mirrors before each attempt, prestage them in the shadow,
+// and after a failed attempt mark them stale and reset the Data Access
+// state (cancelled ops leave the mirrors and the deferred-SF ledger out of
+// step).
 //
 // This is the correctness anchor of the repository: for any topology and
 // scheduling policy, the reconstruction must match the single-device
@@ -25,7 +31,7 @@ struct EncoderCheckpoint {
   std::vector<std::shared_ptr<const RefPicture>> refs;  ///< newest first
 };
 
-class CollaborativeEncoder {
+class CollaborativeEncoder final : public FrameLoop {
  public:
   CollaborativeEncoder(const EncoderConfig& cfg, const PlatformTopology& topo,
                        FrameworkOptions opts = {},
@@ -61,19 +67,23 @@ class CollaborativeEncoder {
   }
 
   int frames_encoded() const { return next_frame_; }
-  const PerfCharacterization& characterization() const { return perf_; }
-  const DeviceHealthMonitor& health() const { return health_; }
 
  private:
-  EncoderConfig cfg_;
-  PlatformTopology topo_;
-  FrameworkOptions opts_;
+  /// (Re-)prepares the job for frame next_frame_ from `cur` and the
+  /// reference list, recycling `recon` as its reconstruction buffer.
+  void prepare_job(const Frame420& cur, std::unique_ptr<RefPicture> recon);
+
+  void prepare_attempt(int frame, int attempt, int active_refs,
+                       const std::vector<bool>& active) override;
+  ExecutionResult execute(int frame, int active_refs,
+                          const ScheduleDecision& sd,
+                          const ExecuteOptions& exec,
+                          FrameOpIds* ids) override;
+  void shadow(const std::vector<bool>& active, int next_refs) override;
+  void attempt_failed() override;
+  void attempt_succeeded(int frame, FrameStats* stats) override;
+
   SimdTier tier_;
-  FaultSchedule faults_;
-  LoadBalancer balancer_;
-  DataAccessManagement dam_;
-  PerfCharacterization perf_;
-  DeviceHealthMonitor health_;
   RefList refs_;
   /// Per-frame working state, persistent so its vectors (motion fields,
   /// choices, coded levels, deblock info) keep their capacity across
@@ -86,11 +96,6 @@ class CollaborativeEncoder {
   /// Mirrors whose incremental per-frame contract is broken (device sat out
   /// a frame, or an attempt failed mid-flight) — restaged whole before use.
   std::vector<bool> mirror_stale_;
-  int next_frame_ = 0;
-  int rf_holder_ = 0;
-  /// Next frame's speculative schedule, produced in the shadow of the
-  /// current frame's execution on a lane-runtime thread.
-  PipelineSlot slot_;
   /// Per-device prestaged mirror buffers (the pipeline's double buffer).
   std::vector<MirrorStage> staged_;
   /// Requested -> resolved kernel tiers, copied into each frame's telemetry.

@@ -1,6 +1,5 @@
 #include "core/framework.hpp"
 
-#include "common/timer.hpp"
 #include "core/virtual_backend.hpp"
 
 #include <algorithm>
@@ -12,416 +11,37 @@ VirtualFramework::VirtualFramework(const EncoderConfig& cfg,
                                    FrameworkOptions opts,
                                    PerturbationSchedule perturbations,
                                    FaultSchedule faults)
-    : cfg_(cfg),
-      topo_(topo),
-      opts_(opts),
-      perturbations_(std::move(perturbations)),
-      faults_(std::move(faults)),
-      balancer_(cfg, topo, opts.lb),
-      dam_(cfg, topo, opts.enable_data_reuse),
-      perf_(topo.num_devices(), opts.ewma_alpha),
-      health_(topo.num_devices(), opts.health) {
-  cfg_.validate();
-  topo_.validate();
-  // The I frame (frame 0) bootstraps the first RF; in the simulated
-  // framework the host produces it, so every accelerator must fetch it.
-  rf_holder_ = topo_.cpu_index() >= 0 ? topo_.cpu_index() : 0;
-}
+    : FrameLoop(cfg, topo, opts, std::move(faults), /*next_frame=*/1),
+      perturbations_(std::move(perturbations)) {}
 
 FrameworkCheckpoint VirtualFramework::checkpoint() const {
-  FrameworkCheckpoint cp;
-  cp.next_frame = next_frame_;
-  cp.rf_holder = rf_holder_;
-  cp.perf = perf_;
-  cp.health = health_;
-  return cp;
+  return checkpoint_state();
 }
 
 void VirtualFramework::restore(const FrameworkCheckpoint& cp) {
-  FEVES_CHECK_MSG(cp.perf.num_devices() == topo_.num_devices(),
-                  "checkpoint covers " << cp.perf.num_devices()
-                                       << " devices, topology has "
-                                       << topo_.num_devices());
   FEVES_CHECK(cp.next_frame >= 1);
-  next_frame_ = cp.next_frame;
-  rf_holder_ = cp.rf_holder;
-  perf_ = cp.perf;
-  health_ = cp.health;
-  // The slot and the deferred-SF ledger describe frames beyond the
-  // snapshot; both must be rebuilt from scratch after the jump.
-  slot_.valid = false;
-  dam_.reset();
-}
-
-ScheduleDecision compute_schedule(const FrameworkOptions& opts,
-                                  LoadBalancer& balancer,
-                                  const PerfCharacterization& perf,
-                                  const DeviceHealthMonitor& health,
-                                  DataAccessManagement& dam,
-                                  const std::vector<bool>& active,
-                                  int rf_holder, int active_refs) {
-  ScheduleDecision out;
-  const std::vector<int> sigma_r_prev = dam.deferred_rows();
-  // A pinned R* on a quarantined device falls back to automatic selection.
-  const int force_rstar = (opts.force_rstar_device >= 0 &&
-                           health.schedulable(opts.force_rstar_device))
-                              ? opts.force_rstar_device
-                              : -1;
-  auto rstar_of = [&] {
-    return force_rstar >= 0 ? force_rstar
-                            : balancer.select_rstar_device(perf, &active);
-  };
-  if (!perf.initialized(&active)) {
-    // Initialization (Algorithm 1 line 3) — re-entered whenever a
-    // probation device returns with its characterization evicted. Under a
-    // churning grant the share-aware probe path keeps the measured
-    // devices LP-balanced instead of re-initializing the whole frame.
-    if (opts.policy == SchedulingPolicy::kAdaptiveLp &&
-        opts.lb.probe_rows > 0) {
-      out.dist = balancer.balance_with_probes(perf, sigma_r_prev, force_rstar,
-                                              &active, &out.lb);
-    } else {
-      out.dist = balancer.equidistant(rstar_of(), &active);
-    }
-  } else {
-    switch (opts.policy) {
-      case SchedulingPolicy::kAdaptiveLp:
-        out.dist = balancer.balance(perf, sigma_r_prev, force_rstar, &active,
-                                    &out.lb);
-        break;
-      case SchedulingPolicy::kProportional:
-        out.dist = balancer.proportional(perf, sigma_r_prev, force_rstar,
-                                         &active);
-        break;
-      case SchedulingPolicy::kEquidistant:
-        out.dist = balancer.equidistant(rstar_of(), &active);
-        break;
-    }
-  }
-  out.plans = dam.plan_frame(out.dist, rf_holder, active_refs, &active);
-  return out;
-}
-
-bool pipeline_slot_matches(const PipelineSlot& slot, int frame,
-                           const std::vector<bool>& active, int rf_holder,
-                           int active_refs, const PerfCharacterization& perf,
-                           double epsilon) {
-  if (!slot.valid || slot.frame != frame) return false;
-  if (slot.active != active || slot.rf_holder != rf_holder ||
-      slot.active_refs != active_refs) {
-    return false;
-  }
-  if (epsilon <= 0.0) return false;
-  double drift = 0.0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    if (!active[i]) continue;
-    drift = std::max(
-        drift, relative_drift(slot.params[i], perf.params(static_cast<int>(i))));
-  }
-  return drift < epsilon;
+  restore_state(cp);
 }
 
 FrameStats VirtualFramework::encode_frame(const FrameGrant& grant) {
-  // Committed only on success (bottom of this function) so a caller can
-  // re-submit the frame on a fresh grant after a mid-frame fault storm.
-  const int frame = next_frame_;
-  const int active_refs = std::min(frame, cfg_.num_ref_frames);
-
-  FrameStats stats;
-  stats.frame_number = frame;
-  stats.active_refs = active_refs;
-
-  ExecuteOptions exec_opts;
-  exec_opts.faults = faults_.plan(frame, topo_.num_devices());
-  exec_opts.watchdog_ms = opts_.watchdog_ms;
-  exec_opts.hang_sleep_ms = opts_.hang_sleep_ms;
-  exec_opts.lease = grant.lease;
-  obs::TraceSession* trace = opts_.trace;
-  if (trace != nullptr) {
-    exec_opts.tracer = &trace->tracer;
-    exec_opts.trace_frame = frame;
-  }
-
-  // Recovery loop: a failed attempt quarantines the faulty devices' streaks,
-  // re-balances over the survivors and re-simulates the SAME frame. Forward
-  // progress is guaranteed because every failed attempt advances at least one
-  // device toward quarantine (the fault plan is deterministic per frame).
-  for (int attempt = 0;; ++attempt) {
-    FEVES_CHECK_MSG(attempt <= opts_.max_frame_retries,
-                    "frame " << frame << ": no clean attempt within "
-                             << opts_.max_frame_retries << " retries");
-    FEVES_CHECK_MSG(health_.num_schedulable() > 0,
-                    "frame " << frame << ": every device is quarantined");
-    const std::vector<bool> active = granted_active_mask(health_, grant, frame);
-    // An RF holder that is quarantined or outside this frame's grant is
-    // unreachable: every accelerator re-fetches.
-    const int rf_holder = active[rf_holder_] ? rf_holder_ : -1;
-
-    // ---- Load balancing (Algorithm 1 lines 3 / 8) -----------------------
-    // Consume the pipeline slot when its speculation survived; otherwise
-    // (or after a failed attempt) schedule synchronously from fresh state.
-    Timer sched_timer;
-    ScheduleDecision sd;
-    bool from_pipeline = false;
-    double overlapped_ms = 0.0;
-    if (slot_.valid && slot_.frame == frame) {
-      if (attempt == 0 &&
-          pipeline_slot_matches(slot_, frame, active, rf_holder, active_refs,
-                                perf_, opts_.lb.convergence_epsilon)) {
-        sd = std::move(slot_.sched);
-        dam_ = std::move(*slot_.dam);
-        overlapped_ms = slot_.cost_ms;
-        from_pipeline = true;
-      } else {
-        ++stats.telemetry.pipeline_misses;
-      }
-    }
-    slot_.valid = false;
-    if (!from_pipeline) {
-      sd = compute_schedule(opts_, balancer_, perf_, health_, dam_, active,
-                            rf_holder, active_refs);
-    }
-    const Distribution& dist = sd.dist;
-    const double sched_ms = sched_timer.elapsed_ms();
-    stats.scheduling_ms += sched_ms;
-    stats.telemetry.sched_critical_ms += sched_ms;
-    stats.telemetry.lp_solves += sd.lb.lp_solves;
-    stats.telemetry.lp_iterations += sd.lb.lp_iterations;
-    stats.telemetry.lp_fallbacks += sd.lb.lp_fallbacks;
-    stats.telemetry.lp_warm_solves += sd.lb.lp_warm_solves;
-    stats.telemetry.lp_skipped += sd.lb.lp_skipped;
-    stats.telemetry.lp_solve_ms += sd.lb.lp_solve_ms;
-    stats.telemetry.delta_iterations += sd.lb.delta_iterations;
-    if (from_pipeline) {
-      ++stats.telemetry.pipeline_hits;
-      stats.telemetry.sched_overlapped_ms += overlapped_ms;
-    }
-    if (trace != nullptr && !from_pipeline) {
-      // A consumed slot was already traced on the pipeline lane when it was
-      // precomputed; only synchronous scheduling lands on the host lane.
-      if (sd.lb.lp_solves > 0) {
-        trace->add_host_event(frame, "lp_solve", obs::EventKind::kLpSolve,
-                              sd.lb.lp_solve_ms);
-      }
-      trace->add_host_event(frame, "sched", obs::EventKind::kSched,
-                            std::max(0.0, sched_ms - sd.lb.lp_solve_ms));
-    }
-
-    // ---- Orchestration + execution (lines 4 / 9) ------------------------
-    slowdown_.assign(static_cast<std::size_t>(topo_.num_devices()), 1.0);
-    for (int i = 0; i < topo_.num_devices(); ++i) {
-      slowdown_[i] = perturbations_.factor(i, frame);
-    }
-    VirtualBackend backend(cfg_, topo_, active_refs, slowdown_);
-    FrameOpIds ids;
-    const OpGraph graph =
-        build_frame_graph(topo_, dist, sd.plans, backend, &ids);
-    const ExecutionResult result = execute_virtual(graph, topo_, exec_opts);
-    stats.total_ms += result.makespan_ms;  // failed attempts burn time too
-    if (trace != nullptr) trace->fold_execution();
-
-    if (!result.ok()) {
-      ++stats.retries;
-      for (int d : result.failed_devices()) {
-        if (health_.record_failure(d)) {
-          perf_.evict(d);
-          dam_.evict(d);
-          ++stats.devices_quarantined;
-        }
-      }
-      continue;
-    }
-
-    // ---- Characterization update (lines 5-6 / 10) -----------------------
-    // Telemetry snapshots the K parameters the scheduler consumed, so it
-    // must fill before this frame's measurements fold in.
-    fill_device_telemetry(topo_, dist, ids, result, perf_, &stats.telemetry);
-    stats.telemetry.predicted_tau1_ms = dist.tau1_ms;
-    stats.telemetry.predicted_tau2_ms = dist.tau2_ms;
-    stats.telemetry.predicted_tau_tot_ms = dist.tau_tot_ms;
-    stats.telemetry.measured_tau_tot_ms = result.makespan_ms;
-    // The speculative schedule for frame+1 must also see only the pre-fold
-    // characterization: in a real overlap it runs concurrently with this
-    // frame's execution and cannot know its measurements. Consume-time
-    // validation re-checks the drift once they have folded.
-    if (opts_.enable_pipeline) precompute_next(frame, active, dist);
-    attribute_frame_times(cfg_, topo_, dist, ids, result, &perf_);
-    rf_holder_ = dist.rstar_device;
-    stats.dist = dist;
-    for (int i = 0; i < topo_.num_devices(); ++i) {
-      if (active[i]) {
-        health_.record_success(i);
-        ++stats.active_devices;
-      }
-      const auto& d = ids.dev[i];
-      for (int id : {d.me, d.intp, d.mv_out, d.sf_out}) {
-        if (id >= 0)
-          stats.tau1_ms = std::max(stats.tau1_ms, result.times[id].end_ms);
-      }
-      for (int id : {d.sme, d.sme_mv_out}) {
-        if (id >= 0)
-          stats.tau2_ms = std::max(stats.tau2_ms, result.times[id].end_ms);
-      }
-    }
-    stats.telemetry.measured_tau1_ms = stats.tau1_ms;
-    stats.telemetry.measured_tau2_ms = stats.tau2_ms;
-    break;
-  }
-  stats.devices_readmitted = static_cast<int>(health_.end_frame().size());
+  FrameStats stats =
+      run_frame(std::min(next_frame_, cfg_.num_ref_frames), grant);
   ++next_frame_;
   return stats;
 }
 
-void VirtualFramework::precompute_next(int frame,
-                                       const std::vector<bool>& active,
-                                       const Distribution& dist) {
-  // Not worth speculating before the characterization exists: the first
-  // real schedule after initialization changes too much to survive
-  // validation anyway.
-  if (!perf_.initialized(&active)) {
-    slot_.valid = false;
-    return;
-  }
-  Timer t;
-  // Recycle the consumed slot's storage (params vector, the DAM planning
-  // copy and its interval vectors) — precompute runs every frame, and
-  // rebuilding the slot from scratch put a dozen allocations on each one.
-  PipelineSlot next = std::move(slot_);
-  next.valid = false;
-  next.frame = frame + 1;
-  next.active_refs = std::min(frame + 1, cfg_.num_ref_frames);
-  // Speculate that next frame runs on the same schedulable set; probation
-  // readmissions and grant changes surface as a consume-time mismatch.
-  next.active = active;
-  next.rf_holder = dist.rstar_device;  // this frame's R* host keeps the RF
-  next.params.resize(static_cast<std::size_t>(topo_.num_devices()));
+ExecutionResult VirtualFramework::execute(int frame, int active_refs,
+                                          const ScheduleDecision& sd,
+                                          const ExecuteOptions& exec,
+                                          FrameOpIds* ids) {
+  std::vector<double> slowdown(static_cast<std::size_t>(topo_.num_devices()));
   for (int i = 0; i < topo_.num_devices(); ++i) {
-    next.params[i] = perf_.params(i);
+    slowdown[i] = perturbations_.factor(i, frame);
   }
-  // Plan against a copy; commit only on a hit.
-  if (next.dam.has_value()) {
-    *next.dam = dam_;
-  } else {
-    next.dam.emplace(dam_);
-  }
-  next.sched = compute_schedule(opts_, balancer_, perf_, health_, *next.dam,
-                                next.active, next.rf_holder, next.active_refs);
-  next.cost_ms = t.elapsed_ms();
-  next.valid = true;
-  slot_ = std::move(next);
-  if (opts_.trace != nullptr) {
-    opts_.trace->add_host_event(frame, "sched_ahead", obs::EventKind::kSched,
-                                slot_.cost_ms, obs::kLanePipeline);
-  }
-}
-
-std::vector<bool> granted_active_mask(const DeviceHealthMonitor& health,
-                                      const FrameGrant& grant, int frame) {
-  std::vector<bool> active = health.active_mask();
-  if (grant.devices == nullptr) return active;
-  FEVES_CHECK_MSG(grant.devices->size() == active.size(),
-                  "grant mask covers " << grant.devices->size()
-                                       << " devices, topology has "
-                                       << active.size());
-  int n_active = 0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    active[i] = active[i] && (*grant.devices)[i];
-    n_active += active[i] ? 1 : 0;
-  }
-  FEVES_CHECK_MSG(n_active > 0,
-                  "frame " << frame
-                           << ": every device in the session's grant is "
-                              "quarantined");
-  return active;
-}
-
-void attribute_frame_times(const EncoderConfig& cfg,
-                           const PlatformTopology& topo,
-                           const Distribution& dist, const FrameOpIds& ids,
-                           const ExecutionResult& result,
-                           PerfCharacterization* perf) {
-  auto dur = [&](int id) {
-    return result.times[id].end_ms - result.times[id].start_ms;
-  };
-  // Only cleanly completed ops are measurements. A timed-out op's span is
-  // truncated at the watchdog deadline and a cancelled op's is zero; folding
-  // either would poison the K parameters every later LP consumes (one hung
-  // frame would make a device look infinitely fast / slow for frames after
-  // its fault cleared).
-  auto ok = [&](int id) { return id >= 0 && result.status[id] == OpStatus::kOk; };
-  const auto me_iv = intervals_of(dist.me);
-  const auto l_iv = intervals_of(dist.intp);
-  const auto s_iv = intervals_of(dist.sme);
-
-  for (int i = 0; i < topo.num_devices(); ++i) {
-    const auto& d = ids.dev[i];
-    if (ok(d.me)) {
-      perf->observe_compute(i, ComputeModule::kMe, me_iv[i].length(),
-                            dur(d.me));
-    }
-    if (ok(d.intp)) {
-      perf->observe_compute(i, ComputeModule::kInt, l_iv[i].length(),
-                            dur(d.intp));
-    }
-    if (ok(d.sme)) {
-      perf->observe_compute(i, ComputeModule::kSme, s_iv[i].length(),
-                            dur(d.sme));
-    }
-    if (ok(d.rstar)) perf->observe_rstar(i, dur(d.rstar));
-
-    struct XferSlot {
-      int id;
-      XferPurpose purpose;
-      int rows;
-    };
-    const int rows_total = cfg.num_mb_rows();
-    const XferSlot slots[] = {
-        {d.rf_in, XferPurpose::kRfIn, rows_total},
-        {d.cf_me, XferPurpose::kCfMe, me_iv[i].length()},
-        {d.cf_sme, XferPurpose::kCfSme, dist.delta_m[i]},
-        {d.mv_sme, XferPurpose::kMvSme, dist.delta_m[i]},
-        {d.sf_sme, XferPurpose::kSfSme, dist.delta_l[i]},
-        {d.sf_complete, XferPurpose::kSfComplete, dist.sigma[i]},
-        {d.mv_out, XferPurpose::kMvOut, me_iv[i].length()},
-        {d.sf_out, XferPurpose::kSfOut, l_iv[i].length()},
-        {d.sme_mv_out, XferPurpose::kSmeMvOut, s_iv[i].length()},
-        {d.rf_out, XferPurpose::kRfOut, rows_total},
-        {d.cf_mc, XferPurpose::kCfMc,
-         rows_total - me_iv[i].length() - dist.delta_m[i]},
-        {d.sf_mc, XferPurpose::kSfMc,
-         rows_total - l_iv[i].length() - dist.delta_l[i]},
-        {d.mv_mc, XferPurpose::kMvMc, rows_total - s_iv[i].length()},
-    };
-    for (const XferSlot& s : slots) {
-      if (!ok(s.id) || s.rows <= 0) continue;
-      perf->observe_transfer(i, buffer_of(s.purpose), direction_of(s.purpose),
-                             s.rows, dur(s.id));
-    }
-  }
-}
-
-void fill_device_telemetry(const PlatformTopology& topo,
-                           const Distribution& dist, const FrameOpIds& ids,
-                           const ExecutionResult& result,
-                           const PerfCharacterization& perf,
-                           obs::SchedTelemetry* telemetry) {
-  auto measured = [&](int id) {
-    if (id < 0 || result.status[id] != OpStatus::kOk) return 0.0;
-    return result.times[id].end_ms - result.times[id].start_ms;
-  };
-  const auto me_iv = intervals_of(dist.me);
-  const auto l_iv = intervals_of(dist.intp);
-  const auto s_iv = intervals_of(dist.sme);
-  telemetry->dev.assign(static_cast<std::size_t>(topo.num_devices()),
-                        obs::DeviceTelemetry{});
-  for (int i = 0; i < topo.num_devices(); ++i) {
-    const auto& d = ids.dev[i];
-    const DeviceParams& p = perf.params(i);
-    obs::DeviceTelemetry& t = telemetry->dev[i];
-    t.me = {me_iv[i].length() * p.k_me, measured(d.me)};
-    t.interp = {l_iv[i].length() * p.k_int, measured(d.intp)};
-    t.sme = {s_iv[i].length() * p.k_sme, measured(d.sme)};
-  }
+  VirtualBackend backend(cfg_, topo_, active_refs, std::move(slowdown));
+  const OpGraph graph =
+      build_frame_graph(topo_, sd.dist, sd.plans, backend, ids);
+  return execute_virtual(graph, topo_, exec);
 }
 
 std::vector<FrameStats> VirtualFramework::encode(int frames) {

@@ -124,10 +124,29 @@ class LoadBalancer {
                                    const std::vector<bool>* active,
                                    BalanceStats* stats = nullptr);
 
+  /// Everything the previous balance() left behind: the final LP basis for
+  /// warm-starting the next solve, the converged distribution the
+  /// convergence detector can reuse, and the inputs that solve was keyed on
+  /// (validation: any mismatch forces a cold path).
+  struct WarmState {
+    bool valid = false;
+    lp::Basis basis;
+    Distribution dist;
+    std::vector<bool> active;
+    std::vector<int> sigma_r_prev;
+    std::vector<DeviceParams> params;
+    int rstar = -1;
+  };
+
   /// Drops the warm-start cache (basis + converged distribution). For
   /// callers that know the cached state no longer describes the platform
   /// beyond what the built-in validation detects.
   void invalidate_warm_start() { warm_ = WarmState{}; }
+
+  /// The warm-start cache, saved before a speculative balance() and put
+  /// back when the speculation is dropped, so it leaves no trace.
+  const WarmState& warm_state() const { return warm_; }
+  void set_warm_state(const WarmState& warm) { warm_ = warm; }
 
   /// R* device selection: cheapest transfer-in + compute + transfer-out
   /// path, found with Dijkstra over the device graph (Sec. III-B, [9]).
@@ -145,20 +164,6 @@ class LoadBalancer {
   /// Recomputes ∆m/∆l/σ/σ^r from the integer distributions.
   void finalize_bounds(Distribution* dist, const PerfCharacterization& perf,
                        const std::vector<bool>* active) const;
-
-  /// Everything the previous balance() left behind: the final LP basis for
-  /// warm-starting the next solve, the converged distribution the
-  /// convergence detector can reuse, and the inputs that solve was keyed on
-  /// (validation: any mismatch forces a cold path).
-  struct WarmState {
-    bool valid = false;
-    lp::Basis basis;
-    Distribution dist;
-    std::vector<bool> active;
-    std::vector<int> sigma_r_prev;
-    std::vector<DeviceParams> params;
-    int rstar = -1;
-  };
 
   EncoderConfig cfg_;
   PlatformTopology topo_;

@@ -193,7 +193,7 @@ void EncodeService::run_session(Session* s) {
   s->result.id = s->id;
   TerminalReason reason = TerminalReason::kError;
   try {
-    reason = s->cfg.source != nullptr ? run_real(s) : run_virtual(s);
+    reason = run_ladder(s);
     // An abort that lands after the last frame still counts: callers that
     // asked for an abort must never observe a "completed" session.
     if (reason == TerminalReason::kCompleted &&
@@ -233,162 +233,28 @@ void EncodeService::run_session(Session* s) {
   }
 }
 
-TerminalReason EncodeService::run_virtual(Session* s) {
-  const ResilienceOptions& ro = s->cfg.resilience;
+TerminalReason EncodeService::run_ladder(Session* s) {
+  const SessionConfig& sc = s->cfg;
+  const ResilienceOptions& ro = sc.resilience;
   obs::ResilienceTelemetry& rt = s->result.resilience;
   SessionGovernor gov(ro, &breaker_,
                       (static_cast<u64>(s->id) + 1) * 0x9E3779B97F4A7C15ull);
+  const bool real = sc.source != nullptr;
 
   // cp is the last good frame boundary; seeded from cfg.resume so a session
   // restarted from a predecessor's checkpoint escalates against it too.
   SessionCheckpoint cp;
-  if (s->cfg.resume != nullptr && s->cfg.resume->valid) cp = *s->cfg.resume;
+  if (sc.resume != nullptr && sc.resume->valid) cp = *sc.resume;
 
-  // Past the degrade point, restarts rebuild the framework with a reduced
-  // search range — legitimate in virtual mode only (no bitstream to keep
-  // bit-exact); real mode degrades by shrinking its grant instead.
-  auto make_fw = [&] {
-    EncoderConfig cfg = s->cfg.cfg;
-    cfg.search_range = gov.degraded_search_range(cfg.search_range);
-    return std::make_unique<VirtualFramework>(cfg, topo_, s->cfg.fw,
-                                              s->cfg.perturbations,
-                                              s->cfg.faults);
-  };
-
-  auto fw = make_fw();
-  const int base = cp.valid ? static_cast<int>(cp.frames_recorded) : 0;
-  int f = base;  // stream-global count of inter-frames done
-  if (cp.valid) {
-    fw->restore(cp.fw);
-    rt.checkpoints_restored += 1;
-  }
-
-  auto take_checkpoint = [&] {
-    const auto t0 = SteadyClock::now();
-    cp.valid = true;
-    cp.frames_recorded = static_cast<std::size_t>(f);
-    cp.bitstream_bytes = 0;
-    cp.fw = fw->checkpoint();
-    s->result.checkpoint = cp;
-    rt.checkpoints_taken += 1;
-    const double took = ms_since(t0);
-    rt.checkpoint_ms += took;
-    if (s->cfg.fw.trace != nullptr) {
-      s->cfg.fw.trace->add_host_event(f, "checkpoint", obs::EventKind::kMark,
-                                      took, obs::kLaneResilience);
-    }
-  };
-
-  // Checkpoint-restart rung: back off (jittered), rebuild the framework
-  // (picking up any degradation), rewind to the last good frame.
-  auto do_restart = [&] {
-    backoff_sleep(s, gov.begin_restart(), f + 1, "restart-backoff");
-    rt.restarts += 1;
-    fw = make_fw();
-    int new_f = base;
-    if (cp.valid) {
-      fw->restore(cp.fw);
-      new_f = static_cast<int>(cp.frames_recorded);
-      rt.checkpoints_restored += 1;
-    }
-    rt.frames_replayed += f - new_f;
-    s->result.frames.resize(static_cast<std::size_t>(new_f - base));
-    f = new_f;
-    if (gov.degraded()) {
-      rt.degraded_sessions = 1;
-      s->result.degrade_level = ro.degrade_search_range ? 2 : 1;
-    }
-    if (s->cfg.fw.trace != nullptr) {
-      s->cfg.fw.trace->add_host_event(f + 1, "restart", obs::EventKind::kMark,
-                                      0.0, obs::kLaneResilience);
-    }
-  };
-
-  while (f < s->cfg.frames) {
-    if (s->abort.load(std::memory_order_relaxed)) {
-      return TerminalReason::kAborted;
-    }
-    if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
-
-    const std::vector<bool> usable = fw->health().active_mask();
-    if (!any_usable(usable)) {
-      // Every device quarantined from this session's view — the only rung
-      // left is a restart, which restores the pre-storm health state.
-      if (!gov.can_restart()) {
-        if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
-        return rt.probation_relapses > 0 ? TerminalReason::kProbationChurn
-                                         : TerminalReason::kNoUsableDevice;
-      }
-      do_restart();
-      continue;
-    }
-    const bool probation_grant = all_probation(fw->health(), usable);
-
-    const double brk = gov.breaker_wait_ms();
-    if (brk > 0.0) {
-      backoff_sleep(s, brk, f + 1, "breaker-wait");
-      continue;
-    }
-
-    AcquireOutcome outcome = AcquireOutcome::kGranted;
-    auto grant =
-        arbiter_.acquire(s->id, usable, &outcome, gov.max_devices_hint());
-    if (!grant.has_value()) {
-      return outcome == AcquireOutcome::kShed ? TerminalReason::kShed
-                                              : TerminalReason::kAborted;
-    }
-    FrameStats stats;
-    try {
-      stats = fw->encode_frame(FrameGrant{&grant->lease.mask(), &grant->lease});
-    } catch (...) {
-      // The grant must flow back even when the frame dies: a leaked lease
-      // would starve every other session.
-      arbiter_.release(s->id, std::move(*grant), 0.0, 0, /*completed=*/false);
-      gov.grant_lost();
-      if (probation_grant) rt.probation_relapses += 1;
-      // A fault storm can quarantine the whole grant mid-frame. Nothing was
-      // committed, so if the health mask shrank and other devices remain
-      // usable, take a fresh grant and retry this frame on them.
-      const std::vector<bool> now = fw->health().active_mask();
-      if (now != usable && any_usable(now)) continue;
-      if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
-      if (!gov.can_restart()) {
-        if (ro.max_restarts > 0) {
-          // Retry budget burned on relapsing probation devices is its own
-          // failure mode: the pool was never exhausted, trust was.
-          return rt.probation_relapses > 0
-                     ? TerminalReason::kProbationChurn
-                     : TerminalReason::kRestartsExhausted;
-        }
-        throw;  // restart rung disabled: legacy fail-with-error
-      }
-      do_restart();
-      continue;
-    }
-    arbiter_.release(s->id, std::move(*grant), stats.total_ms,
-                     used_devices(stats.dist));
-    gov.frame_completed();
-    s->result.frames.push_back(std::move(stats));
-    ++f;
-    if (ro.checkpoint_interval > 0 && f % ro.checkpoint_interval == 0) {
-      take_checkpoint();
-    }
-  }
-  return TerminalReason::kCompleted;
-}
-
-TerminalReason EncodeService::run_real(Session* s) {
-  const ResilienceOptions& ro = s->cfg.resilience;
-  obs::ResilienceTelemetry& rt = s->result.resilience;
-  SessionGovernor gov(ro, &breaker_,
-                      (static_cast<u64>(s->id) + 1) * 0x9E3779B97F4A7C15ull);
-
-  SessionCheckpoint cp;
-  if (s->cfg.resume != nullptr && s->cfg.resume->valid) cp = *s->cfg.resume;
-
+  // Past the degrade point, restarts rebuild the encoder with a reduced
+  // search range — in virtual mode only (no bitstream to keep bit-exact);
+  // real mode degrades by shrinking its grant instead.
   auto make_enc = [&] {
-    return std::make_unique<CollaborativeEncoder>(s->cfg.cfg, topo_, s->cfg.fw,
-                                                  s->cfg.tier, s->cfg.faults);
+    EncoderConfig cfg = sc.cfg;
+    if (!real) cfg.search_range = gov.degraded_search_range(cfg.search_range);
+    return std::make_unique<SessionEncoder>(cfg, topo_, sc.fw, sc.source,
+                                            sc.tier, sc.perturbations,
+                                            sc.faults);
   };
 
   auto enc = make_enc();
@@ -396,7 +262,7 @@ TerminalReason EncodeService::run_real(Session* s) {
   // Resumed sessions emit only the continuation bytes; checkpoints record
   // stream-global offsets so a chain of resumes keeps composing.
   const std::size_t base_bytes = cp.valid ? cp.bitstream_bytes : 0;
-  int f = base;  // stream-global count of frames done (incl. the I frame)
+  int f = base;  // stream-global count of frames done (real: incl. the I frame)
   if (cp.valid) {
     enc->restore(cp.enc);
     rt.checkpoints_restored += 1;
@@ -408,17 +274,18 @@ TerminalReason EncodeService::run_real(Session* s) {
     cp.frames_recorded = static_cast<std::size_t>(f);
     cp.bitstream_bytes = base_bytes + s->result.bitstream.size();
     cp.enc = enc->checkpoint();
-    cp.fw = cp.enc.fw;
     s->result.checkpoint = cp;
     rt.checkpoints_taken += 1;
     const double took = ms_since(t0);
     rt.checkpoint_ms += took;
-    if (s->cfg.fw.trace != nullptr) {
-      s->cfg.fw.trace->add_host_event(f, "checkpoint", obs::EventKind::kMark,
-                                      took, obs::kLaneResilience);
+    if (sc.fw.trace != nullptr) {
+      sc.fw.trace->add_host_event(f, "checkpoint", obs::EventKind::kMark,
+                                  took, obs::kLaneResilience);
     }
   };
 
+  // Checkpoint-restart rung: back off (jittered), rebuild the encoder
+  // (picking up any degradation), rewind to the last good frame.
   auto do_restart = [&] {
     backoff_sleep(s, gov.begin_restart(), f + 1, "restart-backoff");
     rt.restarts += 1;
@@ -437,24 +304,24 @@ TerminalReason EncodeService::run_real(Session* s) {
     f = new_f;
     if (gov.degraded()) {
       rt.degraded_sessions = 1;
-      s->result.degrade_level = 1;  // grant cap only: bits must not change
+      s->result.degrade_level = (!real && ro.degrade_search_range) ? 2 : 1;
     }
-    if (s->cfg.fw.trace != nullptr) {
-      s->cfg.fw.trace->add_host_event(f + 1, "restart", obs::EventKind::kMark,
-                                      0.0, obs::kLaneResilience);
+    if (sc.fw.trace != nullptr) {
+      sc.fw.trace->add_host_event(f + 1, "restart", obs::EventKind::kMark,
+                                  0.0, obs::kLaneResilience);
     }
   };
 
-  Frame420 frame(s->cfg.cfg.width, s->cfg.cfg.height);
-  while (f < s->cfg.frames) {
+  while (f < sc.frames) {
     if (s->abort.load(std::memory_order_relaxed)) {
       return TerminalReason::kAborted;
     }
     if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
-    if (!s->cfg.source->read_frame(f, frame)) break;  // short source
-    if (f == 0) {
+    if (!enc->load(f)) break;  // short source
+    if (enc->bootstrap_next()) {
       // Bootstrap I frame: host-side intra path, touches no pool device.
-      s->result.frames.push_back(enc->encode_frame(frame, &s->result.bitstream));
+      s->result.frames.push_back(
+          enc->encode_frame(FrameGrant{}, &s->result.bitstream));
       ++f;
       // Checkpoint right away so no restart ever has to redo the bootstrap.
       if (ro.checkpoint_interval > 0) take_checkpoint();
@@ -463,6 +330,8 @@ TerminalReason EncodeService::run_real(Session* s) {
 
     const std::vector<bool> usable = enc->health().active_mask();
     if (!any_usable(usable)) {
+      // Every device quarantined from this session's view — the only rung
+      // left is a restart, which restores the pre-storm health state.
       if (!gov.can_restart()) {
         if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
         return rt.probation_relapses > 0 ? TerminalReason::kProbationChurn
@@ -488,26 +357,30 @@ TerminalReason EncodeService::run_real(Session* s) {
     }
     FrameStats stats;
     try {
-      stats = enc->encode_frame(frame, &s->result.bitstream,
-                                FrameGrant{&grant->lease.mask(), &grant->lease});
+      stats = enc->encode_frame(FrameGrant{&grant->lease.mask(), &grant->lease},
+                                &s->result.bitstream);
     } catch (...) {
+      // The grant must flow back even when the frame dies: a leaked lease
+      // would starve every other session.
       arbiter_.release(s->id, std::move(*grant), 0.0, 0, /*completed=*/false);
       gov.grant_lost();
       if (probation_grant) rt.probation_relapses += 1;
-      // Same whole-grant-quarantined recovery as run_virtual: the frame
-      // never committed any state (bitstream and references update only on
-      // success), so retrying it on the surviving devices keeps the stream
-      // bit-exact.
+      // A fault storm can quarantine the whole grant mid-frame. Nothing was
+      // committed (bitstream and references update only on success), so if
+      // the health mask shrank and other devices remain usable, take a
+      // fresh grant and retry this frame on them — bit-exact in real mode.
       const std::vector<bool> now = enc->health().active_mask();
       if (now != usable && any_usable(now)) continue;
       if (gov.deadline_exceeded()) return TerminalReason::kDeadlineExceeded;
       if (!gov.can_restart()) {
         if (ro.max_restarts > 0) {
+          // Retry budget burned on relapsing probation devices is its own
+          // failure mode: the pool was never exhausted, trust was.
           return rt.probation_relapses > 0
                      ? TerminalReason::kProbationChurn
                      : TerminalReason::kRestartsExhausted;
         }
-        throw;
+        throw;  // restart rung disabled: legacy fail-with-error
       }
       do_restart();
       continue;

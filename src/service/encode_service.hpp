@@ -1,21 +1,22 @@
 // Multi-session encode service: N concurrent encode sessions over one
 // shared heterogeneous device pool. Each submitted session runs its own
-// Algorithm-1 loop (VirtualFramework without a video source, the real
-// CollaborativeEncoder with one) on a worker thread; every frame it asks
-// the PoolArbiter for a weighted fair share of the free devices, encodes
-// over that grant — the LP balancing only the granted subset, the executors
-// enforcing the lease — and releases the share with the frame's duration so
-// the arbiter's virtual clocks and fairness accounting advance.
+// Algorithm-1 loop on a worker thread, behind a SessionEncoder handle
+// (resilience.hpp: VirtualFramework without a video source, the real
+// CollaborativeEncoder with one); every frame it asks the PoolArbiter for
+// a weighted fair share of the free devices, encodes over that grant — the
+// LP balancing only the granted subset, the executors enforcing the lease —
+// and releases the share with the frame's duration so the arbiter's
+// virtual clocks and fairness accounting advance.
 //
 // The correctness anchor survives multi-tenancy: a session's bitstream and
 // reconstruction are bit-identical to encoding the same sequence alone,
 // whatever the arbiter grants frame to frame (tests/service/service_test).
 //
-// Resilience (src/service/resilience.hpp): each session climbs an
-// escalation ladder instead of dying on the first escaped exception —
-// per-frame op retries (inside the frameworks), whole-grant re-requests,
-// deadline-budgeted checkpoint-restarts with jittered backoff, and finally
-// an attributed terminal state (SessionResult::reason). Frame-boundary
+// Resilience (src/service/resilience.hpp): each session, in either mode,
+// climbs one escalation ladder instead of dying on the first escaped
+// exception — per-frame op retries (inside the frame loop), whole-grant
+// re-requests, deadline-budgeted checkpoint-restarts with jittered
+// backoff, and finally an attributed terminal state (SessionResult::reason). Frame-boundary
 // SessionCheckpoints also flow out through SessionResult::checkpoint and
 // back in through SessionConfig::resume, so an aborted or crashed session
 // can be resubmitted and continue bit-identically from its last good frame.
@@ -147,8 +148,8 @@ class EncodeService {
   };
 
   void run_session(Session* s);
-  TerminalReason run_virtual(Session* s);
-  TerminalReason run_real(Session* s);
+  /// The session's escalation ladder over its SessionEncoder, either mode.
+  TerminalReason run_ladder(Session* s);
   /// Sleeps ~ms (sliced so an abort cuts it short), booking the wait into
   /// the session's telemetry and trace lane.
   void backoff_sleep(Session* s, double ms, int frame, const char* why);

@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "core/collaborative_encoder.hpp"
 #include "obs/telemetry.hpp"
+#include "video/sequence.hpp"
 
 #include <algorithm>
 #include <chrono>
@@ -174,14 +175,50 @@ class CircuitBreaker {
 
 /// Frame-boundary snapshot of one service session: the encoder-side
 /// checkpoint plus the session-side resume coordinates (how much of the
-/// result — frames, bitstream bytes — the snapshot covers). Real sessions
-/// fill `enc`; virtual sessions fill `fw`.
+/// result — frames, bitstream bytes — the snapshot covers). Virtual
+/// sessions leave `enc.refs` empty.
 struct SessionCheckpoint {
   bool valid = false;
   std::size_t frames_recorded = 0;   ///< FrameStats entries at the boundary
   std::size_t bitstream_bytes = 0;   ///< real mode: stream length to keep
-  EncoderCheckpoint enc;             ///< real mode
-  FrameworkCheckpoint fw;            ///< virtual mode
+  EncoderCheckpoint enc;
+};
+
+/// One session's encoder behind a mode-blind handle: what the escalation
+/// ladder (EncodeService) and the cluster worker (LoopbackWorker) drive.
+/// Without a source it wraps a VirtualFramework; with one, a
+/// CollaborativeEncoder whose frame 0 is the host-side bootstrap I frame.
+class SessionEncoder {
+ public:
+  SessionEncoder(const EncoderConfig& cfg, const PlatformTopology& topo,
+                 const FrameworkOptions& fw,
+                 std::shared_ptr<VideoSource> source, SimdTier tier,
+                 const PerturbationSchedule& perturbations,
+                 const FaultSchedule& faults);
+
+  /// Loads stream frame `f` (real mode counts the I frame); false once the
+  /// source has ended. Virtual mode has nothing to load.
+  bool load(int f) {
+    return source_ == nullptr || source_->read_frame(f, frame_);
+  }
+  /// The next frame is the bootstrap I frame, which takes no device grant.
+  bool bootstrap_next() const {
+    return enc_ != nullptr && enc_->frames_encoded() == 0;
+  }
+  /// Encodes the loaded frame over `grant`; real mode appends its bytes to
+  /// `bitstream`.
+  FrameStats encode_frame(const FrameGrant& grant, std::vector<u8>* bitstream);
+  EncoderCheckpoint checkpoint() const;
+  void restore(const EncoderCheckpoint& cp);
+  const DeviceHealthMonitor& health() const {
+    return vfw_ != nullptr ? vfw_->health() : enc_->health();
+  }
+
+ private:
+  std::shared_ptr<VideoSource> source_;
+  Frame420 frame_;
+  std::unique_ptr<VirtualFramework> vfw_;
+  std::unique_ptr<CollaborativeEncoder> enc_;
 };
 
 /// Per-session budget/ladder bookkeeping driving the session loop: tracks

@@ -1,5 +1,6 @@
-// Drives the feves_cli binary as a child process on bad arguments: each
-// case must end in a non-zero exit status with a usage message, never in a
+// Drives the feves_cli binary (and the quickstart example, which shares its
+// argument-error handling) as a child process on bad arguments: each case
+// must end in a non-zero exit status with a usage message, never in a
 // signal (an uncaught exception ends in abort()).
 #include <gtest/gtest.h>
 
@@ -22,9 +23,10 @@ struct CliRun {
   std::string err;  ///< everything the binary wrote to stderr
 };
 
-CliRun run_cli(const std::vector<std::string>& args) {
+CliRun run_cli(const std::vector<std::string>& args,
+               const char* bin = FEVES_CLI_BIN) {
   const std::string err_path = testing::TempDir() + "feves_cli_stderr.txt";
-  std::vector<std::string> argv_s{FEVES_CLI_BIN};
+  std::vector<std::string> argv_s{bin};
   argv_s.insert(argv_s.end(), args.begin(), args.end());
   std::vector<char*> argv;
   for (std::string& a : argv_s) argv.push_back(a.data());
@@ -54,6 +56,7 @@ CliRun run_cli(const std::vector<std::string>& args) {
 struct BadArgsCase {
   const char* name;
   std::vector<std::string> args;
+  const char* bin = FEVES_CLI_BIN;
 };
 
 TEST(FevesCli, BadArgumentsExitWithUsageNotASignal) {
@@ -64,10 +67,13 @@ TEST(FevesCli, BadArgumentsExitWithUsageNotASignal) {
        {"--synthetic", "2", "--width", "64", "--height", "48", "--refs", "0"}},
       {"flag missing its value", {"--synthetic", "2", "--width"}},
       {"unknown flag", {"--synthetic", "2", "--bogus", "1"}},
+      {"quickstart width not a multiple of 16",
+       {"100", "100", "2"},
+       FEVES_QUICKSTART_BIN},
   };
   for (const BadArgsCase& c : cases) {
     SCOPED_TRACE(c.name);
-    const CliRun run = run_cli(c.args);
+    const CliRun run = run_cli(c.args, c.bin);
     EXPECT_FALSE(WIFSIGNALED(run.wait_status))
         << "killed by signal " << WTERMSIG(run.wait_status);
     ASSERT_TRUE(WIFEXITED(run.wait_status));
@@ -80,6 +86,12 @@ TEST(FevesCli, ValidArgumentsExitZero) {
   // Control row: the harness above tells a clean run from a failing one.
   const CliRun run = run_cli({"--synthetic", "2", "--width", "64", "--height",
                               "48", "--sa", "8", "--output", "/dev/null"});
+  ASSERT_TRUE(WIFEXITED(run.wait_status)) << run.err;
+  EXPECT_EQ(WEXITSTATUS(run.wait_status), 0) << run.err;
+}
+
+TEST(FevesCli, QuickstartValidArgumentsExitZero) {
+  const CliRun run = run_cli({"64", "48", "2"}, FEVES_QUICKSTART_BIN);
   ASSERT_TRUE(WIFEXITED(run.wait_status)) << run.err;
   EXPECT_EQ(WEXITSTATUS(run.wait_status), 0) << run.err;
 }

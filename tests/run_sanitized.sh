@@ -51,6 +51,11 @@ run_bounded "$BUILD/tests/test_core" --gtest_filter='FaultRecovery*:DeviceHealth
 # restaged slots keep their geometry and extents (ASan).
 run_bounded "$BUILD/tests/test_core" --gtest_filter='MirrorTripwire.*'
 
+# The shared Algorithm-1 loop's shadow: frame n+1's speculative schedule and
+# (real mode) mirror prestaging run on a lane-runtime thread while
+# execute_real's lanes run frame n, on and off, with and without faults.
+run_bounded "$BUILD/tests/test_core" --gtest_filter='FramePipeline.*'
+
 # Multi-core real-mode devices: every lane fans its rows over the one
 # process-wide device pool. TSan covers lanes sharing that pool and the R*
 # row split; ASan covers the deblocking wavefront's reads and writes.
