@@ -1,14 +1,15 @@
 // Tracing cost contract (DESIGN.md Sec. 6d): with no TraceSession attached
-// the executors pay one pointer test per op; with a session attached but
-// disabled, one relaxed atomic load and a branch; enabled, one bounded copy
-// into a per-lane SPSC ring. This bench measures the contract two ways:
+// an execution pays one pointer test; with a session attached but
+// disabled, one flag test more; enabled, the executor builds one event per
+// op from the finished result after its lanes joined and copies it into the
+// session's sink. This bench measures the contract two ways:
 //
 //  1. end-to-end on the REAL collaborative encoder (actual kernels, actual
 //     copies — the workload the overhead claim is about): enabled must stay
 //     under 2% of encode wall time, disabled under the noise floor;
 //  2. on the virtual framework, where the DES is so fast that the absolute
-//     per-event emission cost itself becomes measurable — reported in ns
-//     per event, not gated as a percentage of a microsecond-scale loop.
+//     per-event cost itself becomes measurable — reported in ns per event,
+//     not gated as a percentage of a microsecond-scale loop.
 #include "bench/bench_util.hpp"
 
 #include "common/timer.hpp"
@@ -35,7 +36,7 @@ int g_virtual_reps = 9;
 
 FrameworkOptions mode_options(Mode mode, obs::TraceSession* session) {
   FrameworkOptions opts;
-  session->tracer.set_enabled(mode == Mode::kEnabled);
+  session->set_enabled(mode == Mode::kEnabled);
   if (mode != Mode::kNoSession) opts.trace = session;
   return opts;
 }

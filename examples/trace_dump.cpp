@@ -66,12 +66,11 @@ int run(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "\nwrote %zu events to %s (dropped %llu)\n"
+      "\nwrote %zu events to %s\n"
       "view it: open https://ui.perfetto.dev and drag the file in,\n"
       "or chrome://tracing -> Load. Tracks: one process per device,\n"
       "one thread per lane (compute / copyH2D / copyD2H), host row 'host'.\n",
-      session.sink.size(), path.c_str(),
-      static_cast<unsigned long long>(session.tracer.dropped()));
+      session.sink.size(), path.c_str());
   return 0;
 }
 

@@ -256,10 +256,8 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
   exec_opts.hang_sleep_ms = opts_.hang_sleep_ms;
   exec_opts.lease = grant.lease;
   obs::TraceSession* trace = opts_.trace;
-  if (trace != nullptr) {
-    exec_opts.tracer = &trace->tracer;
-    exec_opts.trace_frame = frame;
-  }
+  exec_opts.trace = trace;
+  exec_opts.trace_frame = frame;
 
   // Recovery loop: a failed attempt never contributes output — its faulty
   // devices' streaks advance toward quarantine, the LP re-balances over
@@ -387,7 +385,6 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
         execute(frame, active_refs, sd, exec_opts, &ids);
     if (shadow_batch.has_value()) shadow_batch->join();
     stats.total_ms += result.makespan_ms;  // failed attempts burn time too
-    if (trace != nullptr) trace->fold_execution();
 
     if (!result.ok()) {
       ++stats.retries;

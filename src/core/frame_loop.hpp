@@ -81,9 +81,9 @@ struct FrameworkOptions {
   /// attempt quarantines at least the faulty device's failure streak, so a
   /// handful suffices even for simultaneous multi-device faults.
   int max_frame_retries = 8;
-  /// Observability: when non-null, every op the executors run plus the
-  /// host-side scheduling phases are emitted into this session's tracer and
-  /// folded into its sink frame by frame (Chrome trace export). The session
+  /// Observability: when non-null, the host-side scheduling phases and,
+  /// after each execution joins, every op the executor ran are added to
+  /// this session's sink frame by frame (Chrome trace export). The session
   /// must outlive the framework. Null = zero tracing overhead.
   obs::TraceSession* trace = nullptr;
   /// Two-slot frame pipeline: while frame n executes, frame n+1's LP solve,

@@ -4,6 +4,8 @@
 // device and one thread per resource lane.
 #include "obs/trace.hpp"
 
+#include "common/check.hpp"
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>

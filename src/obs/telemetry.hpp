@@ -85,22 +85,6 @@ struct NodeTelemetry {
   int nodes_suspected = 0;   ///< alive/probation -> suspect transitions
   int nodes_died = 0;        ///< suspect -> dead declarations
   int nodes_rejoined = 0;    ///< dead nodes re-admitted (new incarnation)
-
-  void merge(const NodeTelemetry& o) {
-    dispatches += o.dispatches;
-    completions += o.completions;
-    fenced_replies += o.fenced_replies;
-    lease_expiries += o.lease_expiries;
-    reassigns += o.reassigns;
-    steals += o.steals;
-    epoch_fences += o.epoch_fences;
-    rpc_retries += o.rpc_retries;
-    heartbeats += o.heartbeats;
-    heartbeat_misses += o.heartbeat_misses;
-    nodes_suspected += o.nodes_suspected;
-    nodes_died += o.nodes_died;
-    nodes_rejoined += o.nodes_rejoined;
-  }
 };
 
 /// Resolved kernel tier of one kernel family: what the session requested

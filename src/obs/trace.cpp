@@ -34,110 +34,9 @@ const char* to_string(EventStatus status) {
   return "?";
 }
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-EventRing::EventRing(std::size_t capacity_pow2)
-    : slots_(round_up_pow2(std::max<std::size_t>(2, capacity_pow2))),
-      mask_(slots_.size() - 1) {}
-
-bool EventRing::try_push(const TraceEvent& e) {
-  const std::uint64_t head = head_.load(std::memory_order_relaxed);
-  const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-  if (head - tail >= slots_.size()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  slots_[head & mask_] = e;
-  head_.store(head + 1, std::memory_order_release);
-  return true;
-}
-
-void EventRing::drain(std::vector<TraceEvent>* out) {
-  std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  for (; tail < head; ++tail) out->push_back(slots_[tail & mask_]);
-  tail_.store(tail, std::memory_order_release);
-}
-
-TraceWriter::TraceWriter(Tracer* owner, std::size_t capacity)
-    : owner_(owner), ring_(capacity) {}
-
-void TraceWriter::emit(const TraceEvent& e) {
-  if (!owner_->enabled()) return;
-  ring_.try_push(e);
-}
-
-WriterLease::WriterLease(Tracer* tracer) : tracer_(tracer) {
-  if (tracer_ != nullptr) writer_ = tracer_->acquire_writer();
-}
-
-WriterLease& WriterLease::operator=(WriterLease&& o) noexcept {
-  if (this != &o) {
-    release();
-    tracer_ = o.tracer_;
-    writer_ = o.writer_;
-    o.tracer_ = nullptr;
-    o.writer_ = nullptr;
-  }
-  return *this;
-}
-
-void WriterLease::release() {
-  if (tracer_ != nullptr && writer_ != nullptr) {
-    tracer_->release_writer(writer_);
-  }
-  tracer_ = nullptr;
-  writer_ = nullptr;
-}
-
-Tracer::Tracer(bool enabled, std::size_t ring_capacity)
-    : enabled_(enabled), ring_capacity_(ring_capacity) {}
-
-TraceWriter* Tracer::acquire_writer() {
-  std::lock_guard lock(pool_mutex_);
-  if (!free_.empty()) {
-    TraceWriter* w = free_.back();
-    free_.pop_back();
-    return w;
-  }
-  writers_.push_back(
-      std::unique_ptr<TraceWriter>(new TraceWriter(this, ring_capacity_)));
-  return writers_.back().get();
-}
-
-void Tracer::release_writer(TraceWriter* w) {
-  FEVES_CHECK(w != nullptr);
-  std::lock_guard lock(pool_mutex_);
-  free_.push_back(w);
-}
-
-void Tracer::drain(std::vector<TraceEvent>* out) {
-  FEVES_CHECK(out != nullptr);
-  std::lock_guard lock(pool_mutex_);
-  for (const auto& w : writers_) w->ring_.drain(out);
-}
-
-std::uint64_t Tracer::dropped() const {
-  // pool_mutex_ also guards writers_ here: acquire_writer may push_back
-  // (reallocating the vector) concurrently with a stats poll, so an
-  // unlocked iteration is a use-after-free waiting to happen.
-  std::lock_guard lock(pool_mutex_);
-  std::uint64_t total = 0;
-  for (const auto& w : writers_) total += w->ring_.dropped();
-  return total;
-}
-
 void TraceSession::add_host_event(int frame, const char* name, EventKind kind,
                                   double dur_ms, int lane) {
-  if (!tracer.enabled()) return;
+  if (!enabled_) return;
   TraceEvent e;
   e.set_name(name);
   e.kind = kind;
@@ -146,10 +45,13 @@ void TraceSession::add_host_event(int frame, const char* name, EventKind kind,
   e.lane = lane;
   e.session = session_;
   if (lane == kLanePipeline) {
-    // Overlapped scheduling: backdated into the execution span that just
-    // folded, origin untouched.
+    // Overlapped scheduling: backdated into the execution span just added,
+    // origin untouched. The shadow started with that execution, so a
+    // measured cost longer than the span (virtual spans are modelled, not
+    // wall time) must not spill into earlier frames.
     e.t_end_ms = origin_ms_;
-    e.t_start_ms = std::max(0.0, origin_ms_ - std::max(0.0, dur_ms));
+    e.t_start_ms =
+        std::max(execution_start_ms_, origin_ms_ - std::max(0.0, dur_ms));
     sink.add_event(e);
     return;
   }
@@ -159,24 +61,17 @@ void TraceSession::add_host_event(int frame, const char* name, EventKind kind,
   origin_ms_ = e.t_end_ms;
 }
 
-void TraceSession::fold_execution() {
-  if (!tracer.enabled()) {
-    // Still drain: events emitted before a mid-run disable must not leak
-    // into a later frame's fold.
-    buf_.clear();
-    tracer.drain(&buf_);
-    return;
-  }
-  buf_.clear();
-  tracer.drain(&buf_);
+void TraceSession::add_execution(const std::vector<TraceEvent>& events) {
+  if (!enabled_) return;
+  execution_start_ms_ = origin_ms_;
   double span_end = origin_ms_;
-  for (TraceEvent& e : buf_) {
+  for (TraceEvent e : events) {
     e.t_start_ms += origin_ms_;
     e.t_end_ms += origin_ms_;
     e.session = session_;
     span_end = std::max(span_end, e.t_end_ms);
+    sink.add_event(e);
   }
-  sink.add_events(buf_);
   origin_ms_ = span_end;
 }
 

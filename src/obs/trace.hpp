@@ -1,23 +1,25 @@
 // Orchestration tracing: every op the executors run (kernels, DMA
-// transfers), every LP solve and every scheduling phase can emit a
-// TraceEvent into a per-producer lock-free ring buffer. A TraceSink
-// collects completed frames and serializes them to Chrome trace-event JSON
-// (chrome://tracing / Perfetto), one track per device×lane, so the
-// compute/PCIe overlap of the paper's Figs. 4-5 is visually checkable.
+// transfers), every LP solve and every scheduling phase becomes a
+// TraceEvent in a TraceSession's sink, which serializes them to Chrome
+// trace-event JSON (chrome://tracing / Perfetto), one track per
+// device×lane, so the compute/PCIe overlap of the paper's Figs. 4-5 is
+// visually checkable.
 //
-// Cost contract: tracing is compiled in but runtime-gated. With no tracer
-// attached the hot path pays one pointer test; with a tracer attached but
-// disabled, one relaxed atomic load and a branch. Enabled emission is one
-// bounded copy into an SPSC ring — never a lock, never an allocation.
+// Op events are built after the fact: once an executor has joined its
+// lanes, it turns the graph plus its ExecutionResult into one event per op
+// on the calling thread (platform/op_graph.cpp). Nothing is emitted while
+// lanes run, so the session needs no synchronization: every add happens on
+// the frame loop's thread.
+//
+// Cost contract: tracing is compiled in but runtime-gated. With no session
+// attached an execution pays one pointer test; with a session attached but
+// disabled, one more flag test. Enabled, the executor copies one event per
+// op into the sink after the join — off the lanes' critical path.
 #pragma once
 
-#include "common/check.hpp"
-
-#include <atomic>
-#include <cstdint>
 #include <cstring>
-#include <memory>
-#include <mutex>
+#include <iosfwd>
+#include <string>
 #include <vector>
 
 namespace feves::obs {
@@ -50,7 +52,7 @@ inline constexpr int kLaneResilience = 5;  ///< checkpoint / restart / backoff
 inline constexpr int kLaneCluster = 6;  ///< cluster tier: dispatch / fence /
                                         ///< reassign / node-death marks
 
-/// One traced interval. Fixed-size (no heap) so ring emission is a memcpy.
+/// One traced interval. Fixed-size (no heap): the name is a truncated copy.
 struct TraceEvent {
   static constexpr int kNameCapacity = 23;
 
@@ -73,113 +75,11 @@ struct TraceEvent {
   double duration_ms() const { return t_end_ms - t_start_ms; }
 };
 
-/// Single-producer/single-consumer bounded ring. The producer is the one
-/// thread holding the Writer; the consumer is Tracer::drain. Overflow drops
-/// the newest event and counts it — emission never blocks an executor lane.
-class EventRing {
- public:
-  explicit EventRing(std::size_t capacity_pow2);
-
-  bool try_push(const TraceEvent& e);        // producer side
-  void drain(std::vector<TraceEvent>* out);  // consumer side
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<TraceEvent> slots_;
-  std::size_t mask_;
-  std::atomic<std::uint64_t> head_{0};  // next write (producer-owned)
-  std::atomic<std::uint64_t> tail_{0};  // next read (consumer-owned)
-  std::atomic<std::uint64_t> dropped_{0};
-};
-
-class Tracer;
-
-/// Hot-path emission handle: one per producing thread, leased from the
-/// Tracer (mutex on acquire/release only — once per lane worker per frame).
-class TraceWriter {
- public:
-  /// One relaxed load + branch when tracing is disabled; one ring push
-  /// (bounded copy, no locks) when enabled.
-  void emit(const TraceEvent& e);
-
- private:
-  friend class Tracer;
-  explicit TraceWriter(Tracer* owner, std::size_t capacity);
-  Tracer* owner_;
-  EventRing ring_;
-};
-
-/// RAII lease of a TraceWriter. Null-safe: a lease from a null tracer is a
-/// no-op shell, so executors can write `lease.emit(e)` unconditionally
-/// after one `if (tracer)`-style gate.
-class WriterLease {
- public:
-  WriterLease() = default;
-  explicit WriterLease(Tracer* tracer);
-  ~WriterLease() { release(); }
-  WriterLease(WriterLease&& o) noexcept
-      : tracer_(o.tracer_), writer_(o.writer_) {
-    o.tracer_ = nullptr;
-    o.writer_ = nullptr;
-  }
-  WriterLease& operator=(WriterLease&& o) noexcept;
-  WriterLease(const WriterLease&) = delete;
-  WriterLease& operator=(const WriterLease&) = delete;
-
-  void emit(const TraceEvent& e) {
-    if (writer_ != nullptr) writer_->emit(e);
-  }
-  bool active() const { return writer_ != nullptr; }
-
- private:
-  void release();
-  Tracer* tracer_ = nullptr;
-  TraceWriter* writer_ = nullptr;
-};
-
-/// Owns the per-producer rings and the runtime gate. Writers are pooled:
-/// releasing returns the ring to the free list (its undrained events stay
-/// until the next drain), so a frame's worth of lane workers reuses a
-/// handful of rings instead of growing one per thread ever spawned.
-class Tracer {
- public:
-  explicit Tracer(bool enabled = true, std::size_t ring_capacity = 4096);
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Leases a writer (cold path; takes a mutex). Prefer WriterLease.
-  TraceWriter* acquire_writer();
-  void release_writer(TraceWriter* w);
-
-  /// Consumes every ring's pending events into `out` (appending). Must not
-  /// race leased writers' emissions on the SAME ring; the frameworks call
-  /// it after the executor joined its lane workers.
-  void drain(std::vector<TraceEvent>* out);
-
-  /// Events discarded because a ring was full.
-  std::uint64_t dropped() const;
-
- private:
-  std::atomic<bool> enabled_;
-  std::size_t ring_capacity_;
-  mutable std::mutex pool_mutex_;  // guards writers_ / free_ (incl. dropped())
-  std::vector<std::unique_ptr<TraceWriter>> writers_;  // all ever created
-  std::vector<TraceWriter*> free_;                     // currently unleased
-};
-
 /// Frame-oriented event store with Chrome trace-event JSON export. One
 /// track per device×lane: pid = device + 1 (pid 0 is the host), tid = lane.
 class TraceSink {
  public:
   void add_event(const TraceEvent& e) { events_.push_back(e); }
-  void add_events(const std::vector<TraceEvent>& es) {
-    events_.insert(events_.end(), es.begin(), es.end());
-  }
   const std::vector<TraceEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
 
@@ -197,22 +97,25 @@ class TraceSink {
   std::vector<std::string> device_names_;
 };
 
-/// Everything a framework needs to trace one encode run: the tracer the
-/// executors emit into, the sink that accumulates frames, and the timeline
-/// origin that rebases each execution's local t=0 clock so consecutive
-/// frames (and retried attempts) tile one global timeline instead of
-/// overlapping at zero.
+/// Everything a framework needs to trace one encode run: the sink that
+/// accumulates frames, the runtime gate, and the timeline origin that
+/// rebases each execution's local t=0 clock so consecutive frames (and
+/// retried attempts) tile one global timeline instead of overlapping at
+/// zero. Not thread-safe: every add runs on the frame loop's thread.
 class TraceSession {
  public:
-  explicit TraceSession(bool enabled = true) : tracer(enabled) {}
+  explicit TraceSession(bool enabled = true) : enabled_(enabled) {}
 
-  Tracer tracer;
   TraceSink sink;
+
+  /// Runtime gate: while disabled, every add is a no-op.
+  bool enabled() const { return enabled_; }
+  void set_enabled(bool on) { enabled_ = on; }
 
   double origin_ms() const { return origin_ms_; }
 
-  /// Session dimension for multi-tenant runs: when >= 0, every event folded
-  /// into the sink is stamped with this id, and the Chrome export gives each
+  /// Session dimension for multi-tenant runs: when >= 0, every event added
+  /// to the sink is stamped with this id, and the Chrome export gives each
   /// (session, device) pair its own process track. Set once, before the
   /// framework using this session starts encoding.
   void set_session(int id) { session_ = id; }
@@ -222,20 +125,23 @@ class TraceSession {
   /// kLaneHost lane the event starts at the current origin and advances the
   /// origin past it (host phases serialize). On kLanePipeline the event is
   /// placed ENDING at the current origin — it models work that ran in the
-  /// shadow of the execution that just folded — and the origin does not
-  /// move, so overlapped scheduling never inflates the timeline.
+  /// shadow of the execution just added, so it starts no earlier than that
+  /// execution — and the origin does not move, so overlapped scheduling
+  /// never inflates the timeline.
   void add_host_event(int frame, const char* name, EventKind kind,
                       double dur_ms, int lane = kLaneHost);
 
-  /// Drains the tracer (event times relative to the finished execution's
-  /// t=0), rebases them at the current origin, hands them to the sink and
-  /// advances the origin to the rebased span's end.
-  void fold_execution();
+  /// Adds one finished execution's events (times relative to its t=0):
+  /// rebases them at the current origin, stamps the session id, hands them
+  /// to the sink and advances the origin to the rebased span's end.
+  void add_execution(const std::vector<TraceEvent>& events);
 
  private:
+  bool enabled_;
   double origin_ms_ = 0.0;
+  double execution_start_ms_ = 0.0;  ///< origin when the last execution
+                                     ///< was added
   int session_ = -1;
-  std::vector<TraceEvent> buf_;
 };
 
 }  // namespace feves::obs

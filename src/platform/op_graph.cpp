@@ -131,6 +131,22 @@ obs::TraceEvent op_event(const PlatformTopology& topo,
   return e;
 }
 
+/// Hands a finished execution to the attached trace session: one event per
+/// op id, built from the graph and the result on the calling thread once
+/// every lane has joined, so nothing traces while the ops run.
+void trace_execution(const OpGraph& graph, const PlatformTopology& topo,
+                     const ExecuteOptions& opts,
+                     const ExecutionResult& result) {
+  if (opts.trace == nullptr || !opts.trace->enabled()) return;
+  std::vector<obs::TraceEvent> events;
+  events.reserve(static_cast<std::size_t>(graph.size()));
+  for (int id = 0; id < graph.size(); ++id) {
+    events.push_back(op_event(topo, opts, graph.ops()[id], result.times[id],
+                              result.status[id]));
+  }
+  opts.trace->add_execution(events);
+}
+
 /// Shared state of one execute_real call. Every lane drains its FIFO on
 /// its own thread and parks only when its head op has unsettled
 /// dependencies. Each op carries a count of them; settling an op counts
@@ -144,7 +160,6 @@ class RealRun {
   RealRun(const OpGraph& graph, const PlatformTopology& topo,
           const ExecuteOptions& opts, ExecutionResult* result)
       : graph_(graph),
-        topo_(topo),
         opts_(opts),
         result_(*result),
         lanes_(build_lanes(graph, topo)),
@@ -182,13 +197,10 @@ class RealRun {
 
   /// Runs `lane`'s ops in FIFO order, each once its dependencies settled.
   /// noexcept: an op's own failure is caught and recorded, but a throw from
-  /// anything else here (tracing, the fault plan, allocation) would leave
-  /// this lane's ops unsettled and every lane parked on them waiting
-  /// forever — terminate loudly instead.
+  /// anything else here (the fault plan, allocation) would leave this
+  /// lane's ops unsettled and every lane parked on them waiting forever —
+  /// terminate loudly instead.
   void drain(int lane) noexcept {
-    // One trace writer per lane: emission stays single-producer on its
-    // ring even though every lane runs concurrently.
-    obs::WriterLease trace(opts_.tracer);
     for (int id : lanes_[static_cast<std::size_t>(lane)]) {
       wait_ready(lane, id);
       const Op& op = graph_.ops()[id];
@@ -199,8 +211,6 @@ class RealRun {
         // poisoned inputs, and keep draining this lane.
         result_.status[id] = OpStatus::kCancelled;
         settle(id);
-        trace.emit(
-            op_event(topo_, opts_, op, OpTimes{}, OpStatus::kCancelled));
         continue;
       }
 
@@ -241,7 +251,6 @@ class RealRun {
       result_.status[id] = status;
       messages_[id] = std::move(message);
       settle(id);
-      trace.emit(op_event(topo_, opts_, op, OpTimes{t0, t1}, status));
     }
   }
 
@@ -286,7 +295,6 @@ class RealRun {
   }
 
   const OpGraph& graph_;
-  const PlatformTopology& topo_;
   const ExecuteOptions& opts_;
   ExecutionResult& result_;
   std::vector<std::vector<int>> lanes_;
@@ -365,7 +373,6 @@ ExecutionResult execute_virtual(const OpGraph& graph,
   std::vector<double> lane_free(lanes.size(), 0.0);
   std::vector<bool> settled(graph.size(), false);
   std::vector<std::string> messages(graph.size());
-  obs::WriterLease trace(opts.tracer);
 
   int remaining = graph.size();
   while (remaining > 0) {
@@ -415,8 +422,6 @@ ExecutionResult execute_virtual(const OpGraph& graph,
             lane_free[lane] = result.times[id].end_ms;
           }
         }
-        trace.emit(op_event(topo, opts, op, result.times[id],
-                            result.status[id]));
         settled[id] = true;
         ++head[lane];
         --remaining;
@@ -429,6 +434,7 @@ ExecutionResult execute_virtual(const OpGraph& graph,
 
   collect_failures(graph, messages, &result);
   finish_makespan(&result);
+  trace_execution(graph, topo, opts, result);
   return result;
 }
 
@@ -458,6 +464,7 @@ ExecutionResult execute_real(const OpGraph& graph,
   }
   run.collect(&result);
   finish_makespan(&result);
+  trace_execution(graph, topo, opts, result);
   return result;
 }
 

@@ -159,12 +159,12 @@ struct ExecuteOptions {
   /// Real mode: how long an injected hang sleeps before the executor
   /// declares it timed out. Must exceed watchdog_ms.
   double hang_sleep_ms = 20.0;
-  /// When non-null, every op's terminal state is emitted as a TraceEvent
-  /// (per-lane lock-free rings; see obs/trace.hpp). Null — the default —
-  /// costs one pointer test per execution; non-null but disabled costs one
-  /// relaxed load + branch per op.
-  obs::Tracer* tracer = nullptr;
-  /// Frame number stamped into emitted trace events.
+  /// When non-null and enabled, the executor adds one TraceEvent per op to
+  /// this session after its lanes joined, built from the graph and the
+  /// ExecutionResult on the calling thread (see obs/trace.hpp). Null — the
+  /// default — costs one pointer test per execution.
+  obs::TraceSession* trace = nullptr;
+  /// Frame number stamped into the op trace events.
   int trace_frame = 0;
   /// Pool reservation guard (multi-session encode service): when non-null,
   /// every op in the graph must run on a device the lease covers — an op

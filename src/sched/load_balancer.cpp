@@ -13,6 +13,12 @@ namespace feves {
 
 namespace {
 
+/// Fix-point iterations over MS_BOUNDS/LS_BOUNDS.
+constexpr int kMaxDeltaIterations = 4;
+/// Objective weight on deferred SF rows (must stay << 1/N so it never
+/// trades against τtot).
+constexpr double kSigmaEpsilon = 1e-5;
+
 double kx(const DeviceParams& p, BufferKind b, Direction d) {
   return p.k_xfer[static_cast<int>(b)][static_cast<int>(d)];
 }
@@ -288,7 +294,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
   current.rstar_device = rstar;
   finalize_bounds(&current, perf, active);
 
-  for (int iter = 0; iter < opts_.max_delta_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxDeltaIterations; ++iter) {
     lp::Problem lp;
     const int v_tau1 = lp.add_variable("tau1");
     const int v_tau2 = lp.add_variable("tau2");
@@ -413,8 +419,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
 
         // (14)-(15) linearized: σ + σ^r + l = N − ∆l; σ·K^{sfhd} ≤ τtot−τ2.
         v_sig[i] = lp.add_variable("sig" + std::to_string(i));
-        v_sigr[i] = lp.add_variable("sigr" + std::to_string(i),
-                                    opts_.sigma_epsilon);
+        v_sigr[i] = lp.add_variable("sigr" + std::to_string(i), kSigmaEpsilon);
         lp.add_constraint(
             {{v_sig[i], 1.0}, {v_sigr[i], 1.0}, {v_l[i], 1.0}},
             lp::Relation::kEq, N - dl);

@@ -44,11 +44,6 @@ struct LoadBalancerOptions {
   /// σ/σ^r SF-completion deferral (Fig 5). Disabling it forces the full SF
   /// remainder to transfer within the current frame — the ablation knob.
   bool enable_sf_deferral = true;
-  /// Fix-point iterations over MS_BOUNDS/LS_BOUNDS.
-  int max_delta_iterations = 4;
-  /// Objective weight on deferred SF rows (must stay << 1/N so it never
-  /// trades against τtot).
-  double sigma_epsilon = 1e-5;
   /// Share-aware balancing for frameworks running over a churning device
   /// grant (the encode service): when > 0 and the active set mixes
   /// characterized and never-measured devices, balance_with_probes() keeps
@@ -137,11 +132,6 @@ class LoadBalancer {
     std::vector<DeviceParams> params;
     int rstar = -1;
   };
-
-  /// Drops the warm-start cache (basis + converged distribution). For
-  /// callers that know the cached state no longer describes the platform
-  /// beyond what the built-in validation detects.
-  void invalidate_warm_start() { warm_ = WarmState{}; }
 
   /// The warm-start cache, saved before a speculative balance() and put
   /// back when the speculation is dropped, so it leaves no trace.

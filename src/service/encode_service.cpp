@@ -304,7 +304,7 @@ TerminalReason EncodeService::run_ladder(Session* s) {
     f = new_f;
     if (gov.degraded()) {
       rt.degraded_sessions = 1;
-      s->result.degrade_level = (!real && ro.degrade_search_range) ? 2 : 1;
+      s->result.degrade_level = real ? 1 : 2;
     }
     if (sc.fw.trace != nullptr) {
       sc.fw.trace->add_host_event(f + 1, "restart", obs::EventKind::kMark,

@@ -56,28 +56,26 @@ struct ResilienceOptions {
   /// restart; 0 = unbounded. Exceeding it fails with kDeadlineExceeded.
   double deadline_ms = 0.0;
   // Exponential backoff between restarts, jittered to de-synchronize
-  // sessions recovering from the same storm. Deterministic per seed.
+  // sessions recovering from the same storm. Deterministic per salt.
   double backoff_initial_ms = 0.5;
   double backoff_factor = 2.0;
   double backoff_max_ms = 50.0;
   double backoff_jitter = 0.5;  ///< ± fraction of the delay randomized
-  u64 backoff_seed = 0xB0FFull;
   /// Degradation ladder: after this many restarts the session asks the
   /// arbiter for at most `degraded_max_devices` (shrinking its fair share
   /// to leave the storming pool room to drain); < 0 disables the ladder.
-  int degrade_after_restarts = 2;
-  int degraded_max_devices = 1;
   /// Second rung, virtual mode only (a real session's bitstream must stay
   /// bit-exact): restarts past the degrade point also halve the search
   /// range, shrinking per-frame device time under sustained storms.
-  bool degrade_search_range = true;
+  int degrade_after_restarts = 2;
+  int degraded_max_devices = 1;
 };
 
 /// Exponential backoff ladder with deterministic ± jitter.
 class Backoff {
  public:
   Backoff(const ResilienceOptions& opts, u64 salt)
-      : opts_(opts), rng_(opts.backoff_seed ^ salt) {}
+      : opts_(opts), rng_(kSeed ^ salt) {}
 
   /// Delay for the next attempt; each call climbs the ladder.
   double next_ms() {
@@ -94,6 +92,10 @@ class Backoff {
   int attempts() const { return attempts_; }
 
  private:
+  /// Jitter seed; the caller's salt de-synchronizes ladders while keeping
+  /// each one reproducible.
+  static constexpr u64 kSeed = 0xB0FFull;
+
   ResilienceOptions opts_;
   Rng rng_;
   int attempts_ = 0;
@@ -281,7 +283,7 @@ class SessionGovernor {
   }
   /// Virtual-mode search range after degradation (identity when intact).
   int degraded_search_range(int search_range) const {
-    if (!degraded() || !opts_.degrade_search_range) return search_range;
+    if (!degraded()) return search_range;
     return std::max(4, search_range / 2);
   }
 

@@ -72,10 +72,13 @@ FEVES_CPU_CAP=sse2 \
   run_bounded "$BUILD/tests/test_codec" --gtest_filter='SimdTiers*'
 
 # Multi-session encode service: session churn / abort races under the
-# arbiter, the resilience ladder (restart/backoff/shed races), plus the
-# tracer writer-pool race regression.
+# arbiter and the resilience ladder (restart/backoff/shed races).
 run_bounded "$BUILD/tests/test_service" --gtest_filter='ServiceStress*:ArbiterGrantRaii.*:ServiceResilience.*'
-run_bounded "$BUILD/tests/test_obs" --gtest_filter='Tracer.*'
+
+# Op trace events: both executors build them from the finished result on
+# the calling thread after their lanes joined, including a real-mode
+# encode with a faulted attempt.
+run_bounded "$BUILD/tests/test_obs" --gtest_filter='TraceRoundTrip.*:ExecutorTrace.*'
 
 # Reduced chaos sweep: randomized fault-storm/abort/overload schedules are
 # exactly the interleavings the sanitizers are here to probe. tools/chaos.sh

@@ -183,10 +183,10 @@ TEST(WarmStartSkip, ConvergedSequenceSkipsAndQuarantineInvalidates) {
   d.check_conservation(cfg.num_mb_rows());
   EXPECT_EQ(d.me[2] + d.intp[2] + d.sme[2], 0);
 
-  // Explicit invalidation (device-set re-grants) kills the skip path and
+  // Clearing the warm-start cache kills the skip path and
   // the cross-frame basis: the first ∆-iteration LP must solve cold (later
   // iterations may still chain off it within the frame).
-  lb.invalidate_warm_start();
+  lb.set_warm_state(LoadBalancer::WarmState{});
   BalanceStats s2;
   lb.balance(perf, zeros, -1, &active, &s2);
   EXPECT_EQ(s2.lp_skipped, 0);

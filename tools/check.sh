@@ -150,9 +150,9 @@ case "$CI_STAGE" in
     fi
     ;;
   build-test)
+    # The tier-1 stage already runs the service- and chaos-labelled tests.
     run_stage "configure+build" stage_build
     run_stage "tier-1 tests" stage_test
-    run_stage "service tests" stage_service_tests
     ;;
   sanitize)
     # FEVES_SAN narrows to one flavour (CI matrix); default runs all three.
