@@ -11,7 +11,8 @@ CollaborativeEncoder::CollaborativeEncoder(const EncoderConfig& cfg,
                                            const PlatformTopology& topo,
                                            FrameworkOptions opts,
                                            SimdTier tier, FaultSchedule faults)
-    : FrameLoop(cfg, topo, opts, std::move(faults), /*next_frame=*/0),
+    : FrameLoop(cfg, topo, opts, std::move(faults), /*next_frame=*/0,
+                HostModel::kShared),
       tier_(tier),
       refs_(cfg.num_ref_frames),
       mirrors_(static_cast<std::size_t>(topo.num_devices())),
@@ -99,7 +100,7 @@ FrameStats CollaborativeEncoder::encode_frame(const Frame420& cur,
 
 void CollaborativeEncoder::prepare_attempt(int frame, int attempt,
                                            int active_refs,
-                                           const std::vector<bool>& active) {
+                                           const std::vector<bool>& run) {
   // The failed attempt may have partially written MVs, SF planes or the
   // reconstruction; rebuild the job from the untouched inputs. Its own
   // recon is recycled — every pixel is rewritten anyway.
@@ -108,8 +109,10 @@ void CollaborativeEncoder::prepare_attempt(int frame, int attempt,
   Timer stage_timer;
   for (int i = 0; i < topo_.num_devices(); ++i) {
     if (!topo_.devices[i].is_accelerator()) continue;
-    if (!active[i]) {
-      // Sitting this frame out breaks the one-begin-per-frame contract.
+    if (!run[i]) {
+      // Sitting this frame out (quarantined, outside the grant or outside
+      // the balancer's chosen devices) breaks the one-begin-per-frame
+      // contract.
       mirror_stale_[i] = true;
       continue;
     }
@@ -138,12 +141,12 @@ ExecutionResult CollaborativeEncoder::execute(int /*frame*/,
   return execute_real(graph, topo_, exec);
 }
 
-void CollaborativeEncoder::shadow(const std::vector<bool>& active,
+void CollaborativeEncoder::shadow(const std::vector<bool>& run,
                                   int next_refs) {
-  // Prestage every active accelerator's mirror buffers for frame+1:
-  // re-poison the slot trimmed off its window, reset the MV fields.
+  // Prestage the running accelerators' mirror buffers for frame+1:
+  // re-poison the slot trimmed off the window, reset the MV fields.
   for (int i = 0; i < topo_.num_devices(); ++i) {
-    if (topo_.devices[i].is_accelerator() && active[i]) {
+    if (topo_.devices[i].is_accelerator() && run[i]) {
       prestage_mirror(staged_[i], cfg_, next_refs);
     }
   }

@@ -68,18 +68,26 @@ class CollaborativeEncoder final : public FrameLoop {
 
   int frames_encoded() const { return next_frame_; }
 
+  /// True when accelerator `device`'s mirror was staged for the latest
+  /// inter-frame attempt; false for the host and for a device that sat the
+  /// frame out (its mirror is stale and restaged whole when it runs again).
+  bool mirror_staged(int device) const {
+    FEVES_CHECK(device >= 0 && device < topo_.num_devices());
+    return topo_.devices[device].is_accelerator() && !mirror_stale_[device];
+  }
+
  private:
   /// (Re-)prepares the job for frame next_frame_ from `cur` and the
   /// reference list, recycling `recon` as its reconstruction buffer.
   void prepare_job(const Frame420& cur, std::unique_ptr<RefPicture> recon);
 
   void prepare_attempt(int frame, int attempt, int active_refs,
-                       const std::vector<bool>& active) override;
+                       const std::vector<bool>& run) override;
   ExecutionResult execute(int frame, int active_refs,
                           const ScheduleDecision& sd,
                           const ExecuteOptions& exec,
                           FrameOpIds* ids) override;
-  void shadow(const std::vector<bool>& active, int next_refs) override;
+  void shadow(const std::vector<bool>& run, int next_refs) override;
   void attempt_failed() override;
   void attempt_succeeded(int frame, FrameStats* stats) override;
 

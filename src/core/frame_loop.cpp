@@ -9,17 +9,34 @@ namespace feves {
 
 namespace {
 
+// The devices Algorithm 2 can balance over on `active`: all of them once
+// every one is characterized; before that, the characterized subset once
+// it holds at least min(active devices, MB rows) of them. The second case
+// is a frame with more devices than rows: the equidistant initialization
+// gives some devices no rows, so they are never measured and would hold
+// the LP off forever. Empty when the frame must (re-)initialize.
+std::vector<bool> balanceable_mask(const PerfCharacterization& perf,
+                                   const std::vector<bool>& active, int rows) {
+  std::vector<bool> known = perf.characterized_mask(&active);
+  const auto count = [](const std::vector<bool>& m) {
+    return static_cast<int>(std::count(m.begin(), m.end(), true));
+  };
+  if (count(known) < std::min(count(active), rows)) known.clear();
+  return known;
+}
+
 // One full scheduling step: policy dispatch (Algorithm 2 / proportional /
 // equidistant, including the probe path for partially characterized grants
-// and the R*-pin quarantine fallback), then transfer planning. Mutates
-// `dam`'s deferred-SF state and the balancer's warm-start cache.
+// and the R*-pin quarantine fallback), the set of devices that run the
+// result, then transfer planning for those. Mutates `dam`'s deferred-SF
+// state and the balancer's warm-start cache.
 ScheduleDecision compute_schedule(const FrameworkOptions& opts,
                                   LoadBalancer& balancer,
                                   const PerfCharacterization& perf,
                                   const DeviceHealthMonitor& health,
                                   DataAccessManagement& dam,
                                   const std::vector<bool>& active,
-                                  int rf_holder, int active_refs) {
+                                  int rf_holder, int active_refs, int rows) {
   ScheduleDecision out;
   const std::vector<int> sigma_r_prev = dam.deferred_rows();
   // A pinned R* on a quarantined device falls back to automatic selection.
@@ -35,11 +52,17 @@ ScheduleDecision compute_schedule(const FrameworkOptions& opts,
     // Initialization (Algorithm 1 line 3) — re-entered whenever a
     // probation device returns with its characterization evicted. Under a
     // churning grant the share-aware probe path keeps the measured
-    // devices LP-balanced instead of re-initializing the whole frame.
+    // devices LP-balanced instead of re-initializing the whole frame; with
+    // more devices than rows the LP runs over the measured ones.
+    const std::vector<bool> known = balanceable_mask(perf, active, rows);
     if (opts.policy == SchedulingPolicy::kAdaptiveLp &&
         opts.lb.probe_rows > 0) {
       out.dist = balancer.balance_with_probes(perf, sigma_r_prev, force_rstar,
                                               &active, &out.lb);
+    } else if (opts.policy == SchedulingPolicy::kAdaptiveLp &&
+               !known.empty() && (force_rstar < 0 || known[force_rstar])) {
+      out.dist = balancer.balance(perf, sigma_r_prev, force_rstar, &known,
+                                  &out.lb);
     } else {
       out.dist = balancer.equidistant(rstar_of(), &active);
     }
@@ -58,7 +81,14 @@ ScheduleDecision compute_schedule(const FrameworkOptions& opts,
         break;
     }
   }
-  out.plans = dam.plan_frame(out.dist, rf_holder, active_refs, &active);
+  const int n = static_cast<int>(active.size());
+  out.run.assign(active.size(), false);
+  for (int i = 0; i < n; ++i) {
+    out.run[i] = active[i] && (out.dist.me[i] > 0 || out.dist.intp[i] > 0 ||
+                               out.dist.sme[i] > 0 ||
+                               i == out.dist.rstar_device);
+  }
+  out.plans = dam.plan_frame(out.dist, rf_holder, active_refs, &out.run);
   return out;
 }
 
@@ -205,12 +235,12 @@ void attribute_frame_times(const EncoderConfig& cfg,
 
 FrameLoop::FrameLoop(const EncoderConfig& cfg, const PlatformTopology& topo,
                      const FrameworkOptions& opts, FaultSchedule faults,
-                     int next_frame)
+                     int next_frame, HostModel host)
     : cfg_(cfg),
       topo_(topo),
       opts_(opts),
       faults_(std::move(faults)),
-      balancer_(cfg, topo, opts.lb),
+      balancer_(cfg, topo, opts.lb, host),
       dam_(cfg, topo, opts.enable_data_reuse),
       perf_(topo.num_devices(), opts.ewma_alpha),
       health_(topo.num_devices(), opts.health),
@@ -297,7 +327,7 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
     slot_.valid = false;
     if (!from_pipeline) {
       sd = compute_schedule(opts_, balancer_, perf_, health_, dam_, active,
-                            rf_holder, active_refs);
+                            rf_holder, active_refs, cfg_.num_mb_rows());
     }
     const Distribution& dist = sd.dist;
     const double sched_ms = sched_timer.elapsed_ms();
@@ -326,10 +356,10 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
     }
 
     // ---- Orchestration + execution (lines 4 / 9) ------------------------
-    prepare_attempt(frame, attempt, active_refs, active);
+    prepare_attempt(frame, attempt, active_refs, sd.run);
 
     // The shadow, on a lane-runtime thread while the attempt executes:
-    // once every active device is characterized, solve frame+1's schedule
+    // once the LP can balance the active devices, solve frame+1's schedule
     // and plan its transfers on a copy of the Data Access state, plus the
     // mode's own shadow work. It sees only the pre-fold characterization —
     // it cannot know the measurements of the execution it overlaps — so its
@@ -342,7 +372,9 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
     // survive, so steady-state speculation allocates nothing up front.
     PipelineSlot next = std::move(slot_);
     next.valid = false;
-    const bool speculate = opts_.enable_pipeline && perf_.initialized(&active);
+    const bool speculate =
+        opts_.enable_pipeline &&
+        !balanceable_mask(perf_, active, cfg_.num_mb_rows()).empty();
     const int next_refs = std::min(active_refs + 1, cfg_.num_ref_frames);
     if (speculate) {
       // Speculate that next frame runs on the same schedulable set, with
@@ -368,11 +400,11 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
           } else {
             next.dam.emplace(dam_);
           }
-          next.sched = compute_schedule(opts_, balancer_, perf_, health_,
-                                        *next.dam, next.active,
-                                        next.rf_holder, next.active_refs);
+          next.sched = compute_schedule(
+              opts_, balancer_, perf_, health_, *next.dam, next.active,
+              next.rf_holder, next.active_refs, cfg_.num_mb_rows());
         }
-        shadow(active, next_refs);
+        shadow(sd.run, next_refs);
         if (speculate) {
           next.cost_ms = spec_timer.elapsed_ms();
           next.valid = true;
@@ -413,10 +445,8 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
     rf_holder_ = dist.rstar_device;
     stats.dist = dist;
     for (int i = 0; i < topo_.num_devices(); ++i) {
-      if (active[i]) {
-        health_.record_success(i);
-        ++stats.active_devices;
-      }
+      if (active[i]) health_.record_success(i);
+      if (sd.run[i]) ++stats.active_devices;
       const auto& d = ids.dev[i];
       for (int id : {d.me, d.intp, d.mv_out, d.sf_out}) {
         if (id >= 0) {

@@ -114,16 +114,23 @@ struct FrameStats {
   int devices_quarantined = 0;   ///< devices newly quarantined this frame
   int devices_readmitted = 0;    ///< devices entering probation after it
   int active_devices = 0;        ///< devices the successful attempt ran on
+                                 ///< (ScheduleDecision::run)
   /// Scheduler telemetry: LP effort and predicted-vs-measured times.
   obs::SchedTelemetry telemetry;
   double fps() const { return total_ms > 0 ? 1000.0 / total_ms : 0.0; }
 };
 
 /// One scheduling decision: the distribution the policy produced, the
-/// transfer plans derived from it, and the LP effort it took — made either
-/// synchronously on the critical path or speculatively in the pipeline.
+/// devices that run it, the transfer plans derived from it, and the LP
+/// effort it took — made either synchronously on the critical path or
+/// speculatively in the pipeline.
 struct ScheduleDecision {
   Distribution dist;
+  /// Devices that run this frame: rows in any module, or R*. The others
+  /// sit the frame out like a quarantined device — no plan, no ops, no
+  /// mirror staging (their mirrors go stale and are restaged whole when
+  /// they run again).
+  std::vector<bool> run;
   std::vector<TransferPlan> plans;
   BalanceStats lb;
 };
@@ -176,8 +183,12 @@ class FrameLoop {
  protected:
   /// `next_frame` numbers the first frame the loop will see (1 in virtual
   /// mode, whose I frame is implicit; 0 in real mode, which encodes it).
+  /// `host` is what the backend's devices compute on: kDedicated in
+  /// virtual mode, kShared in real mode (every device runs on this host's
+  /// cores), which the balancer prices (load_balancer.hpp).
   FrameLoop(const EncoderConfig& cfg, const PlatformTopology& topo,
-            const FrameworkOptions& opts, FaultSchedule faults, int next_frame);
+            const FrameworkOptions& opts, FaultSchedule faults, int next_frame,
+            HostModel host);
 
   FrameworkCheckpoint checkpoint_state() const;
   /// Restores the adaptive state; drops the pipeline slot and the
@@ -191,20 +202,21 @@ class FrameLoop {
   FrameStats run_frame(int active_refs, const FrameGrant& grant);
 
   // ---- Per-mode hooks --------------------------------------------------
-  /// Readies attempt `attempt` (0-based) of the frame on `active`, after
-  /// its schedule is known and before its shadow starts.
+  /// Readies attempt `attempt` (0-based) of the frame on the devices that
+  /// run it (`run`, ScheduleDecision::run), after its schedule is known and
+  /// before its shadow starts.
   virtual void prepare_attempt(int /*frame*/, int /*attempt*/,
                                int /*active_refs*/,
-                               const std::vector<bool>& /*active*/) {}
+                               const std::vector<bool>& /*run*/) {}
   /// Builds the frame's backend and op graph for `sd` and executes it.
   virtual ExecutionResult execute(int frame, int active_refs,
                                   const ScheduleDecision& sd,
                                   const ExecuteOptions& exec,
                                   FrameOpIds* ids) = 0;
-  /// Mode-specific shadow work, run beside frame+1's speculation while the
-  /// attempt executes; must touch nothing execute() does.
-  virtual void shadow(const std::vector<bool>& /*active*/,
-                      int /*next_refs*/) {}
+  /// Mode-specific shadow work for the devices running this attempt
+  /// (`run`), beside frame+1's speculation while the attempt executes;
+  /// must touch nothing execute() does.
+  virtual void shadow(const std::vector<bool>& /*run*/, int /*next_refs*/) {}
   /// After a failed attempt, once its faulty devices are recorded.
   virtual void attempt_failed() {}
   /// After the successful attempt's telemetry is filled.

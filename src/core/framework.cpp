@@ -11,7 +11,8 @@ VirtualFramework::VirtualFramework(const EncoderConfig& cfg,
                                    FrameworkOptions opts,
                                    PerturbationSchedule perturbations,
                                    FaultSchedule faults)
-    : FrameLoop(cfg, topo, opts, std::move(faults), /*next_frame=*/1),
+    : FrameLoop(cfg, topo, opts, std::move(faults), /*next_frame=*/1,
+                HostModel::kDedicated),
       perturbations_(std::move(perturbations)) {}
 
 FrameworkCheckpoint VirtualFramework::checkpoint() const {

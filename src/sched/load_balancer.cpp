@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
 
 namespace feves {
 
@@ -54,8 +56,8 @@ std::vector<int> round_preserving_sum(const std::vector<double>& x,
 
 LoadBalancer::LoadBalancer(const EncoderConfig& cfg,
                            const PlatformTopology& topo,
-                           LoadBalancerOptions opts)
-    : cfg_(cfg), topo_(topo), opts_(opts) {
+                           LoadBalancerOptions opts, HostModel host)
+    : cfg_(cfg), topo_(topo), opts_(opts), host_(host) {
   cfg_.validate();
   topo_.validate();
 }
@@ -115,8 +117,16 @@ Distribution LoadBalancer::equidistant(int rstar_device,
 
 int LoadBalancer::select_rstar_device(const PerfCharacterization& perf,
                                       const std::vector<bool>* active) const {
-  const int n = topo_.num_devices();
   count_active(active);  // validates mask size and non-emptiness
+  if (host_ == HostModel::kShared) {
+    return select_rstar_in(shared_host_view(perf, active), active);
+  }
+  return select_rstar_in(perf, active);
+}
+
+int LoadBalancer::select_rstar_in(const PerfCharacterization& perf,
+                                  const std::vector<bool>* active) const {
+  const int n = topo_.num_devices();
   // Before characterization, default to the first active accelerator
   // (GPU-centric, the paper's common case), falling back to the first
   // active device.
@@ -250,8 +260,14 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
   FEVES_CHECK(static_cast<int>(sigma_r_prev.size()) == n);
   count_active(active);
 
+  std::optional<PerfCharacterization> host_view;
+  if (host_ == HostModel::kShared) {
+    host_view.emplace(shared_host_view(perf, active));
+  }
+  const PerfCharacterization& view = host_view ? *host_view : perf;
+
   const int rstar =
-      force_rstar >= 0 ? force_rstar : select_rstar_device(perf, active);
+      force_rstar >= 0 ? force_rstar : select_rstar_in(view, active);
   FEVES_CHECK(rstar < n);
   FEVES_CHECK_MSG(device_active(active, rstar),
                   "R* device " << rstar << " is not active");
@@ -275,7 +291,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
     double drift = 0.0;
     for (int i = 0; i < n; ++i) {
       if (!act[i]) continue;
-      drift = std::max(drift, relative_drift(warm_.params[i], perf.params(i)));
+      drift = std::max(drift, relative_drift(warm_.params[i], view.params(i)));
     }
     if (drift < opts_.convergence_epsilon) {
       if (stats != nullptr) stats->lp_skipped += 1;
@@ -283,24 +299,97 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
     }
   }
 
-  // Basis chained across the ∆ fix-point (and, via the cache, across
-  // frames): each solve warm-starts from the previous optimum.
-  lp::Basis chain;
-  if (opts_.enable_warm_start && cache_matches) chain = warm_.basis;
+  // Device-count selection: R* first, then the other active devices by
+  // measured capability (ties to the lower index).
+  std::vector<int> order;
+  order.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    if (act[i] && i != rstar) order.push_back(i);
+  }
+  auto cost = [&](int i) {
+    const DeviceParams& p = view.params(i);
+    return p.k_me + p.k_int + p.k_sme;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return cost(a) < cost(b); });
+  order.insert(order.begin(), rstar);
+
+  // Grow the prefix while each device lowers τtot strictly (a relative
+  // tolerance keeps a tie from joining on rounding noise). A failed solve
+  // counts as +inf. The cached basis seeds only the prefix size it was
+  // solved for (chained across frames and across the ∆ fix-point).
+  constexpr double kJoinTolerance = 1e-9;
+  auto tau_of = [](const Distribution& d, bool ok) {
+    return ok ? d.tau_tot_ms : std::numeric_limits<double>::infinity();
+  };
+  std::vector<bool> set(static_cast<std::size_t>(n), false);
+  Distribution best;
+  lp::Basis best_basis;
+  bool best_optimal = false;
+  int chosen = 0;
+  for (int k = 0; k < static_cast<int>(order.size()); ++k) {
+    set[order[k]] = true;
+    lp::Basis basis;
+    if (opts_.enable_warm_start && cache_matches && warm_.devices == k + 1) {
+      basis = warm_.basis;
+    }
+    bool optimal = false;
+    Distribution d = solve_set(view, sigma_r_prev, rstar, set, &basis,
+                               &optimal, stats);
+    if (k > 0) {
+      const double before = tau_of(best, best_optimal);
+      const double after = tau_of(d, optimal);
+      if (!(after < before - kJoinTolerance * std::abs(before))) break;
+    }
+    best = std::move(d);
+    best_basis = std::move(basis);
+    best_optimal = optimal;
+    chosen = k + 1;
+  }
+  best.check_conservation(rows);
+
+  if (opts_.enable_warm_start && best_optimal) {
+    warm_.valid = true;
+    warm_.basis = std::move(best_basis);
+    warm_.dist = best;
+    warm_.active = std::move(act);
+    warm_.sigma_r_prev = sigma_r_prev;
+    warm_.rstar = rstar;
+    warm_.devices = chosen;
+    warm_.params.assign(static_cast<std::size_t>(n), DeviceParams{});
+    for (int i = 0; i < n; ++i) warm_.params[i] = view.params(i);
+  } else if (!best_optimal) {
+    // A failed solve means the cached state no longer describes a solvable
+    // situation; do not serve it as "converged" next frame.
+    warm_ = WarmState{};
+  }
+  return best;
+}
+
+Distribution LoadBalancer::solve_set(const PerfCharacterization& perf,
+                                     const std::vector<int>& sigma_r_prev,
+                                     int rstar, const std::vector<bool>& set,
+                                     lp::Basis* basis, bool* optimal,
+                                     BalanceStats* stats) const {
+  const int n = topo_.num_devices();
+  const int rows = cfg_.num_mb_rows();
+  lp::Basis& chain = *basis;
   bool last_solve_optimal = false;
 
   // Warm start for the ∆ fix-point: proportional distribution.
-  Distribution current = proportional(perf, sigma_r_prev, rstar, active);
+  Distribution current = proportional(perf, sigma_r_prev, rstar, &set);
   current.rstar_device = rstar;
-  finalize_bounds(&current, perf, active);
+  finalize_bounds(&current, perf, &set);
 
   for (int iter = 0; iter < kMaxDeltaIterations; ++iter) {
     lp::Problem lp;
     const int v_tau1 = lp.add_variable("tau1");
     const int v_tau2 = lp.add_variable("tau2");
     const int v_tautot = lp.add_variable("tautot", 1.0);
-    std::vector<int> v_m(n), v_l(n), v_s(n), v_sig(n, -1), v_sigr(n, -1);
+    std::vector<int> v_m(n, -1), v_l(n, -1), v_s(n, -1), v_sig(n, -1),
+        v_sigr(n, -1);
     for (int i = 0; i < n; ++i) {
+      if (!set[i]) continue;
       v_m[i] = lp.add_variable("m" + std::to_string(i));
       v_l[i] = lp.add_variable("l" + std::to_string(i));
       v_s[i] = lp.add_variable("s" + std::to_string(i));
@@ -310,6 +399,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
     {
       std::vector<lp::Term> tm, tl, ts;
       for (int i = 0; i < n; ++i) {
+        if (!set[i]) continue;
         tm.push_back({v_m[i], 1.0});
         tl.push_back({v_l[i], 1.0});
         ts.push_back({v_s[i], 1.0});
@@ -325,14 +415,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
 
     const double N = rows;
     for (int i = 0; i < n; ++i) {
-      if (!device_active(active, i)) {
-        // Quarantined: pinned to zero rows in every module, no resource
-        // constraints — the LP re-balances the whole frame over survivors.
-        lp.add_constraint({{v_m[i], 1.0}}, lp::Relation::kEq, 0.0);
-        lp.add_constraint({{v_l[i], 1.0}}, lp::Relation::kEq, 0.0);
-        lp.add_constraint({{v_s[i], 1.0}}, lp::Relation::kEq, 0.0);
-        continue;
-      }
+      if (!set[i]) continue;
       const DeviceParams& p = perf.params(i);
       const DeviceSpec& dev = topo_.devices[i];
       const double dm = current.delta_m[i];
@@ -432,6 +515,48 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
       }
     }
 
+    if (host_ == HostModel::kShared) {
+      // One host under every device, phase by phase (ME+INT before τ1, SME
+      // between τ1 and τ2): the kernels of all devices share its cores, and
+      // so do their copies — a real-mode transfer is a memcpy on a lane
+      // thread. The copy terms are those of each accelerator's own
+      // copy-engine rows, (6)/(12) before τ1 and the inputs and MV return
+      // of (7)/(13) after it.
+      std::vector<lp::Term> t1{{v_tau1, -1.0}};
+      std::vector<lp::Term> t2{{v_tau1, 1.0}, {v_tau2, -1.0}};
+      double c1 = 0.0;
+      double c2 = 0.0;
+      for (int i = 0; i < n; ++i) {
+        if (!set[i]) continue;
+        const DeviceParams& p = perf.params(i);
+        double m = p.k_me;
+        double l = p.k_int;
+        double s = p.k_sme;
+        if (topo_.devices[i].is_accelerator()) {
+          const double dm = current.delta_m[i];
+          const double dl = current.delta_l[i];
+          const double cf_hd = kx(p, BufferKind::kCf, Direction::kHostToDevice);
+          const double sf_hd = kx(p, BufferKind::kSf, Direction::kHostToDevice);
+          const double mv_hd = kx(p, BufferKind::kMv, Direction::kHostToDevice);
+          const double mv_dh = kx(p, BufferKind::kMv, Direction::kDeviceToHost);
+          m += cf_hd + mv_dh;
+          l += kx(p, BufferKind::kSf, Direction::kDeviceToHost);
+          c1 += dm * cf_hd;
+          c2 += dl * sf_hd + dm * mv_hd;
+          if (i != rstar) {
+            s += mv_dh;
+            c1 += N * kx(p, BufferKind::kRf, Direction::kHostToDevice) +
+                  sigma_r_prev[i] * sf_hd;
+          }
+        }
+        t1.push_back({v_m[i], m});
+        t1.push_back({v_l[i], l});
+        t2.push_back({v_s[i], s});
+      }
+      lp.add_constraint(t1, lp::Relation::kLe, -c1);
+      lp.add_constraint(t2, lp::Relation::kLe, -c2);
+    }
+
     Timer lp_timer;
     const lp::Basis* warm =
         (opts_.enable_warm_start && chain.usable()) ? &chain : nullptr;
@@ -442,7 +567,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
       stats->lp_fallbacks += sol.bland_fallback ? 1 : 0;
       stats->lp_warm_solves += sol.warm_used ? 1 : 0;
       stats->lp_solve_ms += lp_timer.elapsed_ms();
-      stats->delta_iterations = iter + 1;
+      stats->delta_iterations += 1;
     }
     if (!sol.optimal()) {
       FEVES_WARN("load_balancer",
@@ -458,6 +583,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
     next.rstar_device = rstar;
     std::vector<double> fm(n), fl(n), fs(n);
     for (int i = 0; i < n; ++i) {
+      if (!set[i]) continue;
       fm[i] = sol.values[v_m[i]];
       fl[i] = sol.values[v_l[i]];
       fs[i] = sol.values[v_s[i]];
@@ -472,7 +598,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
     next.tau1_ms = sol.values[v_tau1];
     next.tau2_ms = sol.values[v_tau2];
     next.tau_tot_ms = sol.values[v_tautot];
-    finalize_bounds(&next, perf, active);
+    finalize_bounds(&next, perf, &set);
 
     const bool converged = next.delta_m == current.delta_m &&
                            next.delta_l == current.delta_l &&
@@ -481,22 +607,7 @@ Distribution LoadBalancer::balance(const PerfCharacterization& perf,
     if (converged) break;
   }
 
-  current.check_conservation(rows);
-
-  if (opts_.enable_warm_start && last_solve_optimal) {
-    warm_.valid = true;
-    warm_.basis = chain;
-    warm_.dist = current;
-    warm_.active = std::move(act);
-    warm_.sigma_r_prev = sigma_r_prev;
-    warm_.rstar = rstar;
-    warm_.params.assign(static_cast<std::size_t>(n), DeviceParams{});
-    for (int i = 0; i < n; ++i) warm_.params[i] = perf.params(i);
-  } else if (!last_solve_optimal) {
-    // A failed solve means the cached state no longer describes a solvable
-    // situation; do not serve it as "converged" next frame.
-    warm_ = WarmState{};
-  }
+  *optimal = last_solve_optimal;
   return current;
 }
 

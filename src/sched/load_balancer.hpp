@@ -17,6 +17,16 @@
 //    on each device's kernel lane), so the per-device compute constraint is
 //    the combined m_i·K^m + l_i·K^l ≤ τ1 — this matches both the CPU
 //    constraint (2) and the discrete-event executor's semantics.
+//  * Device-count selection: the LP is solved over nested device prefixes
+//    (the R* device, then the others fastest first) and a device joins
+//    only when it lowers τtot. Devices left out get zero rows and no
+//    constraints, so they pay none of the per-device constants of
+//    eqs. (10)–(12) (the whole-frame RF fetch) that can outweigh a share
+//    of the work.
+//  * A shared host (HostModel::kShared) prices what real mode runs on: all
+//    devices execute on the same cores. The balancer then reads
+//    shared_host_view() of the characterization and adds one host row per
+//    phase, Σ(m_i·K^m + l_i·K^l) ≤ τ1 and Σ s_i·K^s ≤ τ2 − τ1.
 #pragma once
 
 #include "common/config.hpp"
@@ -30,15 +40,23 @@ namespace feves {
 /// Telemetry from one balance() call: LP solver effort, fed into the
 /// observability layer's SchedTelemetry (obs/telemetry.hpp).
 struct BalanceStats {
-  int lp_solves = 0;         ///< LP solves across the ∆ fix-point
+  int lp_solves = 0;         ///< LP solves across the device prefixes
+                             ///< tried and their ∆ fix-points
   int lp_iterations = 0;     ///< simplex pivots summed over all solves
   int lp_fallbacks = 0;      ///< solves where Bland's anti-cycling engaged
   double lp_solve_ms = 0.0;  ///< wall time spent inside lp::solve
-  int delta_iterations = 0;  ///< ∆ fix-point iterations run
+  int delta_iterations = 0;  ///< ∆ fix-point iterations run (all prefixes)
   int lp_warm_solves = 0;    ///< solves that accepted a warm basis
   int lp_skipped = 0;        ///< balance() calls answered from the
                              ///< converged-distribution cache (no solve)
 };
+
+/// What the devices' compute runs on — a fact about the backend, not a
+/// tuning knob. kDedicated: every device is its own machine (the paper's
+/// platforms; virtual mode). kShared: every device's ops run on the same
+/// host cores (real mode's one device_pool()), so an extra device adds
+/// transfers and staging but no compute.
+enum class HostModel { kDedicated, kShared };
 
 struct LoadBalancerOptions {
   /// σ/σ^r SF-completion deferral (Fig 5). Disabling it forces the full SF
@@ -69,7 +87,8 @@ struct LoadBalancerOptions {
 class LoadBalancer {
  public:
   LoadBalancer(const EncoderConfig& cfg, const PlatformTopology& topo,
-               LoadBalancerOptions opts = {});
+               LoadBalancerOptions opts = {},
+               HostModel host = HostModel::kDedicated);
 
   /// Every entry point takes an optional active-device mask (nullptr = all
   /// active): quarantined devices get zero rows in every module, are
@@ -95,12 +114,18 @@ class LoadBalancer {
   /// balanced frame. Requires perf.initialized(active). `force_rstar` >= 0
   /// pins the R* device (CPU-centric vs GPU-centric operation, Sec. III-B).
   /// `stats`, when non-null, receives LP solver telemetry for this call.
+  /// Picks how many devices to use: the LP runs over the prefixes of the
+  /// R* device followed by the other active devices in order of measured
+  /// capability (smallest k_me + k_int + k_sme first, ties to the lower
+  /// index), and stops at the first device that does not lower τtot
+  /// strictly; devices outside the chosen prefix get zero rows.
   /// Non-const: maintains the warm-start cache (previous basis, converged
   /// distribution and the characterization snapshot it was solved under) —
   /// see LoadBalancerOptions::enable_warm_start / convergence_epsilon. The
-  /// cache is bypassed and refreshed whenever the active set, the R* device
-  /// or the deferred-SF state changes, so quarantine transitions and grant
-  /// churn always re-solve from the current platform state.
+  /// cache is keyed on the whole active set, not the chosen prefix; it is
+  /// bypassed and refreshed whenever the active set, the R* device or the
+  /// deferred-SF state changes, so quarantine transitions and grant churn
+  /// always re-solve from the current platform state.
   Distribution balance(const PerfCharacterization& perf,
                        const std::vector<int>& sigma_r_prev,
                        int force_rstar = -1,
@@ -131,6 +156,7 @@ class LoadBalancer {
     std::vector<int> sigma_r_prev;
     std::vector<DeviceParams> params;
     int rstar = -1;
+    int devices = 0;  ///< size of the chosen prefix (its basis fits it)
   };
 
   /// The warm-start cache, saved before a speculative balance() and put
@@ -140,10 +166,14 @@ class LoadBalancer {
 
   /// R* device selection: cheapest transfer-in + compute + transfer-out
   /// path, found with Dijkstra over the device graph (Sec. III-B, [9]).
+  /// On a shared host it reads shared_host_view(): R* then lands on the
+  /// CPU when it is active (no staging), otherwise on the first active
+  /// accelerator.
   int select_rstar_device(const PerfCharacterization& perf,
                           const std::vector<bool>* active = nullptr) const;
 
   const PlatformTopology& topology() const { return topo_; }
+  HostModel host_model() const { return host_; }
 
  private:
   bool device_active(const std::vector<bool>* active, int i) const {
@@ -155,9 +185,25 @@ class LoadBalancer {
   void finalize_bounds(Distribution* dist, const PerfCharacterization& perf,
                        const std::vector<bool>* active) const;
 
+  /// select_rstar_device over an already shared-host-adjusted view.
+  int select_rstar_in(const PerfCharacterization& view,
+                      const std::vector<bool>* active) const;
+
+  /// Algorithm 2 over the devices in `set`: the ∆ fix-point of LP solves.
+  /// Devices outside it get no variables, hence zero rows and no
+  /// constraints (quarantined and unselected devices alike). `basis` seeds the first solve when
+  /// usable and returns the last optimal one; `optimal` reports whether
+  /// the last solve was optimal (otherwise the result is the proportional
+  /// warm start or the last optimal iterate).
+  Distribution solve_set(const PerfCharacterization& view,
+                         const std::vector<int>& sigma_r_prev, int rstar,
+                         const std::vector<bool>& set, lp::Basis* basis,
+                         bool* optimal, BalanceStats* stats) const;
+
   EncoderConfig cfg_;
   PlatformTopology topo_;
   LoadBalancerOptions opts_;
+  HostModel host_;
   WarmState warm_;
 };
 

@@ -129,4 +129,42 @@ class PerfCharacterization {
   std::vector<DeviceParams> params_;
 };
 
+/// The characterization as a shared host sees it (HostModel::kShared, real
+/// mode): every device runs on the same cores and copies through the same
+/// memory, so each active device gets, per field, the fastest current
+/// measurement across the active devices (unmeasured fields, 0, take no
+/// part). Devices then differ only in which transfers their role needs.
+/// Raw per-device K do not compare on one host: a one-row slice runs
+/// inline on its lane while a wide one fans out over the pool, so the same
+/// work reads several times faster per row on the device that got more of
+/// it. Inactive devices keep their own parameters.
+inline PerfCharacterization shared_host_view(const PerfCharacterization& perf,
+                                             const std::vector<bool>* active) {
+  const int n = perf.num_devices();
+  FEVES_CHECK(active == nullptr || static_cast<int>(active->size()) == n);
+  auto is_active = [&](int i) { return active == nullptr || (*active)[i]; };
+  DeviceParams best;
+  auto take = [](double* slot, double value) {
+    if (value > 0.0 && (*slot == 0.0 || value < *slot)) *slot = value;
+  };
+  for (int i = 0; i < n; ++i) {
+    if (!is_active(i)) continue;
+    const DeviceParams& p = perf.params(i);
+    take(&best.k_me, p.k_me);
+    take(&best.k_int, p.k_int);
+    take(&best.k_sme, p.k_sme);
+    take(&best.t_rstar_ms, p.t_rstar_ms);
+    for (int buf = 0; buf < 4; ++buf) {
+      for (int dir = 0; dir < 2; ++dir) {
+        take(&best.k_xfer[buf][dir], p.k_xfer[buf][dir]);
+      }
+    }
+  }
+  PerfCharacterization view = perf;
+  for (int i = 0; i < n; ++i) {
+    if (is_active(i)) view.seed(i, best);
+  }
+  return view;
+}
+
 }  // namespace feves

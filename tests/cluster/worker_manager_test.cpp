@@ -14,7 +14,9 @@
 
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 namespace feves::cluster {
 namespace {
@@ -267,20 +269,102 @@ TEST(WorkerManager, HungZombieRepliesAreFencedNotCommitted) {
   EXPECT_EQ(mgr.node_counters()[0].completions, 0);
 }
 
+/// A transport in front of a node that orders its false-positive death by
+/// construction: the node answers every heartbeat until it holds work (so
+/// the manager dispatches to it while it is alive), then its own fault
+/// schedule takes over the heartbeats, and its completions are held until
+/// the manager has seen more than `dead_misses` misses — it declared the
+/// node dead, and fenced its lease, on the last of those. A held reply is
+/// released from inside a later heartbeat, before that tick drains the
+/// inbox, so it always meets the fence.
+class RepliesAfterDeath final : public WorkerProxy {
+ public:
+  RepliesAfterDeath(std::unique_ptr<WorkerProxy> inner, int dead_misses)
+      : inner_(std::move(inner)), dead_misses_(dead_misses) {}
+
+  NodeId id() const override { return inner_->id(); }
+
+  RpcStatus heartbeat(double deadline_ms) override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!holds_work_) return RpcStatus::kOk;
+    }
+    const RpcStatus st = inner_->heartbeat(deadline_ms);
+    std::vector<ShardResult> release;
+    CompletionSink sink;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (st != RpcStatus::kOk) ++misses_;
+      if (misses_ > dead_misses_) release.swap(held_);
+      sink = sink_;
+    }
+    for (ShardResult& r : release) sink(std::move(r));
+    return st;
+  }
+
+  RpcStatus capabilities(double deadline_ms,
+                         WorkerCapabilities* out) override {
+    return inner_->capabilities(deadline_ms, out);
+  }
+
+  RpcStatus submit(const WorkShard& shard, double deadline_ms) override {
+    const RpcStatus st = inner_->submit(shard, deadline_ms);
+    if (st == RpcStatus::kOk) {
+      std::lock_guard<std::mutex> lk(mu_);
+      holds_work_ = true;
+    }
+    return st;
+  }
+
+  RpcStatus cancel(u64 lease_id, double deadline_ms) override {
+    return inner_->cancel(lease_id, deadline_ms);
+  }
+
+  void set_completion_sink(CompletionSink sink) override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      sink_ = std::move(sink);
+    }
+    inner_->set_completion_sink([this](ShardResult r) {
+      CompletionSink forward;
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (misses_ <= dead_misses_) {
+          held_.push_back(std::move(r));
+          return;
+        }
+        forward = sink_;
+      }
+      forward(std::move(r));
+    });
+  }
+
+ private:
+  std::unique_ptr<WorkerProxy> inner_;
+  const int dead_misses_;
+  std::mutex mu_;
+  bool holds_work_ = false;
+  int misses_ = 0;
+  std::vector<ShardResult> held_;
+  CompletionSink sink_;
+};
+
 TEST(WorkerManager, HeartbeatLossFalsePositiveDeathStaysBitExact) {
   // Node 0 keeps working but its heartbeats vanish: a FALSE-POSITIVE death.
   // The manager fences it and re-runs the work on the survivor; the healthy
   // zombie's completions arrive and must be dropped, not double-committed —
-  // bit-exactness against solo proves no frame range landed twice.
+  // bit-exactness against solo proves no frame range landed twice. The
+  // transport above makes node 0's reply land after its death declaration
+  // however fast its quantum runs.
   NodeFaultSchedule loss;
   loss.add({/*node=*/0, /*beat_begin=*/1, kFaultForever,
             NodeFaultKind::kHeartbeatLoss});
 
-  WorkerManagerOptions opts = fast_opts();
-  opts.tick_sleep_ms = 1.0;  // give node 0's quantum time to straddle death
+  const WorkerManagerOptions opts = fast_opts();
   WorkerManager mgr(opts);
-  mgr.register_worker(
-      std::make_unique<LoopbackWorker>(0, "falsely-dead", big_node(), loss));
+  mgr.register_worker(std::make_unique<RepliesAfterDeath>(
+      std::make_unique<LoopbackWorker>(0, "falsely-dead", big_node(), loss),
+      opts.heartbeat.dead_misses));
   mgr.register_worker(
       std::make_unique<LoopbackWorker>(1, "survivor", small_node()));
 
@@ -291,7 +375,7 @@ TEST(WorkerManager, HeartbeatLossFalsePositiveDeathStaysBitExact) {
   ClusterSessionConfig sc;
   sc.cfg = cfg;
   sc.frames = frames;
-  sc.chunk_frames = 6;  // one long quantum: outlives the death declaration
+  sc.chunk_frames = 6;  // one quantum: the zombie's reply covers every frame
   sc.source = std::make_shared<SyntheticSequence>(sconf);
   const ClusterSessionResult r = mgr.wait(mgr.submit(sc));
 

@@ -85,6 +85,12 @@ TEST_P(CollaborativeBitExact, MatchesReferenceEncoder) {
 
   FrameworkOptions opts;
   opts.policy = policy;
+  // On a shared host Algorithm 2 would settle on the CPU alone; pinning R*
+  // to the last accelerator keeps the LP's distributions on the
+  // accelerator-mirror path.
+  if (policy == SchedulingPolicy::kAdaptiveLp) {
+    opts.force_rstar_device = num_accels;
+  }
   CollaborativeEncoder enc(cfg, test_topo(num_accels), opts);
   std::vector<u8> bits;
   for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -112,7 +118,11 @@ TEST(Collaborative, MultiRefBitExactAcrossWindowRampUp) {
   std::vector<u8> ref_bits;
   const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
 
-  CollaborativeEncoder enc(cfg, test_topo(2));
+  // Every device runs every frame, so each accelerator mirror's window
+  // ramps up from one reference to three.
+  FrameworkOptions opts;
+  opts.policy = SchedulingPolicy::kEquidistant;
+  CollaborativeEncoder enc(cfg, test_topo(2), opts);
   std::vector<u8> bits;
   for (std::size_t f = 0; f < frames.size(); ++f) {
     enc.encode_frame(frames[f], &bits);

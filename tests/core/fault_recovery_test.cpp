@@ -68,6 +68,17 @@ std::vector<Frame420> reference_encode(const EncoderConfig& cfg,
 }
 
 // ---- Real mode: bit-exactness survives every fault kind -------------------
+//
+// On a shared host the LP runs the steady state on the CPU alone, so a fault
+// on an accelerator would never fire. These tests are about accelerators
+// failing mid-frame, so they pin the equidistant split: every device runs
+// every frame.
+
+FrameworkOptions all_devices_run() {
+  FrameworkOptions opts;
+  opts.policy = SchedulingPolicy::kEquidistant;
+  return opts;
+}
 
 TEST(FaultRecoveryReal, PermanentDeviceLossStaysBitExact) {
   // A 3-device topology loses GPU#1 for good at frame 2. The frame must be
@@ -82,7 +93,8 @@ TEST(FaultRecoveryReal, PermanentDeviceLossStaysBitExact) {
   std::vector<u8> ref_bits;
   const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
 
-  CollaborativeEncoder enc(cfg, test_topo(2), {}, SimdTier::kAuto, faults);
+  CollaborativeEncoder enc(cfg, test_topo(2), all_devices_run(),
+                           SimdTier::kAuto, faults);
   std::vector<u8> bits;
   std::vector<FrameStats> stats;
   for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -117,7 +129,8 @@ TEST(FaultRecoveryReal, TransientTransferFaultRecoversAndReadmits) {
   std::vector<u8> ref_bits;
   const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
 
-  CollaborativeEncoder enc(cfg, test_topo(2), {}, SimdTier::kAuto, faults);
+  CollaborativeEncoder enc(cfg, test_topo(2), all_devices_run(),
+                           SimdTier::kAuto, faults);
   std::vector<u8> bits;
   std::vector<FrameStats> stats;
   for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -148,7 +161,7 @@ TEST(FaultRecoveryReal, HangIsFencedByWatchdogAndStaysBitExact) {
   FaultSchedule faults;
   faults.add({/*device=*/1, /*begin=*/2, /*end=*/3, FaultKind::kHang});
 
-  FrameworkOptions opts;
+  FrameworkOptions opts = all_devices_run();
   // Generous deadline: every clean op on this tiny config finishes orders
   // of magnitude faster, even under sanitizers.
   opts.watchdog_ms = 2000.0;

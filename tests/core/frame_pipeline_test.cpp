@@ -88,9 +88,13 @@ TEST(FramePipeline, RealModeOnOffBitstreamsIdentical) {
   // deterministic here (bit-exactness never depends on it; the drift
   // gating itself is exercised by the deterministic virtual-mode tests).
   on.lb.convergence_epsilon = 1e9;
+  // R* on an accelerator keeps mirror prestaging in the shadow (the LP
+  // alone would run this shared host's frames on the CPU).
+  on.force_rstar_device = 1;
   FrameworkOptions off;
   off.enable_pipeline = false;
   off.lb.enable_warm_start = false;
+  off.force_rstar_device = 1;
 
   const EncodeRun with = run_real(cfg, topo, frames, on);
   const EncodeRun without = run_real(cfg, topo, frames, off);
@@ -114,11 +118,14 @@ TEST(FramePipeline, BitExactUnderFaultInjection) {
   faults.add({/*device=*/2, /*begin=*/3, kFaultForever,
               FaultKind::kDeviceLoss});
 
-  FrameworkOptions off;
+  // Every device runs every frame, so the lost accelerator's fault fires.
+  FrameworkOptions on;
+  on.policy = SchedulingPolicy::kEquidistant;
+  FrameworkOptions off = on;
   off.enable_pipeline = false;
   off.lb.enable_warm_start = false;
 
-  const EncodeRun with = run_real(cfg, topo, frames, {}, faults);
+  const EncodeRun with = run_real(cfg, topo, frames, on, faults);
   const EncodeRun without = run_real(cfg, topo, frames, off, faults);
   EXPECT_EQ(with.bits, without.bits);
   EXPECT_GT(with.total.pipeline_misses, 0)

@@ -46,6 +46,12 @@ run_bounded "$BUILD/tests/test_platform" --gtest_filter='*Executor*:*Fault*:*Sch
 run_bounded "$BUILD/tests/test_common" --gtest_filter='ThreadPool*:LogRace*'
 run_bounded "$BUILD/tests/test_core" --gtest_filter='FaultRecovery*:DeviceHealthMonitor.*'
 
+# Device-count selection: devices outside the chosen set sit frames out, so
+# the shadow prestages only the devices that run. When the running CPU is
+# lost, an accelerator whose mirror went stale is restaged whole and runs
+# beside a shadow that now prestages it.
+run_bounded "$BUILD/tests/test_core" --gtest_filter='DeviceSelectionReal.*'
+
 # Recycled mirror slots: a lane-runtime thread re-poisons the stage's
 # slot while the executor's lanes write the mirrors (TSan); recycled and
 # restaged slots keep their geometry and extents (ASan).
@@ -70,6 +76,10 @@ run_bounded "$BUILD/tests/test_core" --gtest_filter='Collaborative.SysNffMultiRo
 run_bounded "$BUILD/tests/test_codec" --gtest_filter='SimdTiers*'
 FEVES_CPU_CAP=sse2 \
   run_bounded "$BUILD/tests/test_codec" --gtest_filter='SimdTiers*'
+
+# Untrusted bitstreams: the decoder fed random bit flips and truncations
+# must fail with an attributed error, never read out of bounds.
+run_bounded "$BUILD/tests/test_codec" --gtest_filter='BitstreamFuzz*:*/BitstreamFuzzFlip.*'
 
 # Multi-session encode service: session churn / abort races under the
 # arbiter and the resilience ladder (restart/backoff/shed races).

@@ -338,5 +338,146 @@ TEST(BalanceWithProbes, NothingCharacterizedFallsBackToEquidistant) {
   }
 }
 
+// ---- Device-count selection ----------------------------------------------
+
+struct PinnedDistribution {
+  const char* system;
+  std::vector<int> me, intp, sme, sigma;
+  int rstar;
+  double tau_tot_ms;
+};
+
+TEST(DeviceSelection, PaperSystemsUseEveryDevice) {
+  // On the paper's dedicated-device systems every device lowers τtot, so
+  // selection keeps all of them and returns exactly the distribution of an
+  // LP over the whole set (recorded from the balancer before selection
+  // existed).
+  const std::vector<PinnedDistribution> pinned = {
+      {"SysNF", {15, 53}, {66, 2}, {29, 39}, {0, 0}, 1, 37.144682051294865},
+      {"SysNFF", {6, 32, 30}, {65, 2, 1}, {19, 24, 25}, {0, 0, 41}, 1,
+       24.477677954332535},
+      {"SysHK", {12, 56}, {65, 3}, {26, 42}, {0, 0}, 1, 20.135416612089095},
+  };
+  const auto cfg = hd_config();
+  for (const PinnedDistribution& want : pinned) {
+    SCOPED_TRACE(want.system);
+    const auto topo = topology_by_name(want.system);
+    LoadBalancer lb(cfg, topo);
+    BalanceStats stats;
+    const std::vector<int> zeros(static_cast<std::size_t>(topo.num_devices()),
+                                 0);
+    const auto d = lb.balance(seeded_perf(cfg, topo), zeros, -1, nullptr,
+                              &stats);
+    EXPECT_EQ(d.me, want.me);
+    EXPECT_EQ(d.intp, want.intp);
+    EXPECT_EQ(d.sme, want.sme);
+    EXPECT_EQ(d.sigma, want.sigma);
+    EXPECT_EQ(d.rstar_device, want.rstar);
+    EXPECT_DOUBLE_EQ(d.tau_tot_ms, want.tau_tot_ms);
+    // One ∆ fix-point per prefix size, each at least one solve.
+    EXPECT_GE(stats.lp_solves, topo.num_devices());
+  }
+}
+
+TEST(DeviceSelection, FixedCostLeavesOutAnAcceleratorThatDoesNotPay) {
+  // SysNFF whose second GPU computes slower than the CPU (so it is tried
+  // last) and pays a whole-frame RF fetch N·K^{rf,hd} larger than the time
+  // its share of the work could save: it must get no rows, exactly as if
+  // it were quarantined.
+  const auto cfg = hd_config();
+  const auto topo = make_sys_nff();
+  auto perf = seeded_perf(cfg, topo);
+  DeviceParams slow = perf.params(2);
+  const DeviceParams& cpu = perf.params(0);
+  slow.k_me = 1.5 * cpu.k_me;
+  slow.k_int = 1.5 * cpu.k_int;
+  slow.k_sme = 1.5 * cpu.k_sme;
+  slow.k_xfer[static_cast<int>(BufferKind::kRf)]
+             [static_cast<int>(Direction::kHostToDevice)] = 0.5;
+  perf.seed(2, slow);
+
+  const std::vector<int> zeros(3, 0);
+  LoadBalancer lb(cfg, topo);
+  const auto d = lb.balance(perf, zeros);
+  d.check_conservation(cfg.num_mb_rows());
+  EXPECT_EQ(d.me[2] + d.intp[2] + d.sme[2], 0);
+  EXPECT_EQ(d.sigma[2] + d.sigma_r[2], 0);
+  EXPECT_NE(d.rstar_device, 2);
+  EXPECT_GT(d.me[0] + d.intp[0] + d.sme[0], 0) << "the CPU still pays";
+
+  LoadBalancer quarantined(cfg, topo);
+  const std::vector<bool> without2 = {true, true, false};
+  const auto q = quarantined.balance(perf, zeros, -1, &without2);
+  EXPECT_EQ(d.me, q.me);
+  EXPECT_EQ(d.intp, q.intp);
+  EXPECT_EQ(d.sme, q.sme);
+  EXPECT_EQ(d.rstar_device, q.rstar_device);
+  EXPECT_DOUBLE_EQ(d.tau_tot_ms, q.tau_tot_ms);
+}
+
+TEST(DeviceSelection, SharedHostRunsOnOneDevice) {
+  // Real mode's shared host: every device computes on the same cores, so
+  // an extra device adds copies and no compute. With the CPU granted it
+  // takes every row and R*; without it, one accelerator does.
+  const auto cfg = hd_config();
+  const auto topo = make_pool(3);
+  const auto perf = seeded_perf(cfg, topo);
+  const int rows = cfg.num_mb_rows();
+  const std::vector<int> zeros(4, 0);
+
+  LoadBalancer lb(cfg, topo, {}, HostModel::kShared);
+  EXPECT_EQ(lb.select_rstar_device(perf), 0);
+  const auto d = lb.balance(perf, zeros);
+  EXPECT_EQ(d.rstar_device, 0);
+  EXPECT_EQ(d.me[0], rows);
+  EXPECT_EQ(d.intp[0], rows);
+  EXPECT_EQ(d.sme[0], rows);
+
+  const std::vector<bool> no_cpu = {false, true, true, true};
+  const auto a = lb.balance(perf, zeros, -1, &no_cpu);
+  a.check_conservation(rows);
+  int running = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (a.me[i] + a.intp[i] + a.sme[i] > 0) ++running;
+  }
+  EXPECT_EQ(running, 1);
+  EXPECT_EQ(a.rstar_device, 1) << "ties go to the lowest index";
+  EXPECT_EQ(a.me[1], rows);
+  EXPECT_EQ(a.intp[1], rows);
+  EXPECT_EQ(a.sme[1], rows);
+
+  // The same platform on dedicated devices spreads the work.
+  LoadBalancer dedicated(cfg, topo);
+  const auto spread = dedicated.balance(perf, zeros);
+  int spread_running = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (spread.me[i] + spread.intp[i] + spread.sme[i] > 0) ++spread_running;
+  }
+  EXPECT_GT(spread_running, 1);
+}
+
+TEST(SharedHostView, EveryActiveDeviceGetsTheFastestMeasurement) {
+  PerfCharacterization perf(3);
+  DeviceParams a, b, c;
+  a.k_me = 2.0; a.k_int = 0.5; a.k_sme = 1.0; a.t_rstar_ms = 9.0;
+  b.k_me = 1.0; b.k_int = 0.8; b.k_sme = 3.0; b.t_rstar_ms = 7.0;
+  b.k_xfer[0][0] = 0.2;
+  c.k_me = 0.1;  // inactive: neither contributes nor changes
+  perf.seed(0, a);
+  perf.seed(1, b);
+  perf.seed(2, c);
+  const std::vector<bool> active = {true, true, false};
+  const PerfCharacterization view = shared_host_view(perf, &active);
+  for (int i = 0; i < 2; ++i) {
+    const DeviceParams& p = view.params(i);
+    EXPECT_DOUBLE_EQ(p.k_me, 1.0);
+    EXPECT_DOUBLE_EQ(p.k_int, 0.5);
+    EXPECT_DOUBLE_EQ(p.k_sme, 1.0);
+    EXPECT_DOUBLE_EQ(p.t_rstar_ms, 7.0);
+    EXPECT_DOUBLE_EQ(p.k_xfer[0][0], 0.2) << "unmeasured fields take none";
+  }
+  EXPECT_DOUBLE_EQ(view.params(2).k_me, 0.1);
+}
+
 }  // namespace
 }  // namespace feves

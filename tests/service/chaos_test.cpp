@@ -327,6 +327,9 @@ TEST(Chaos, RestartStormKeepsRealSessionsBitExact) {
     sc.cfg = cfg;
     sc.frames = frames;
     sc.source = std::make_shared<SyntheticSequence>(sconf);
+    // Every granted device runs every frame, so the victim's faults fire
+    // (the LP would run this shared host's steady state on one device).
+    sc.fw.policy = SchedulingPolicy::kEquidistant;
     // One faulty accelerator, repeatedly: kernel, transfer, then loss.
     const int victim = 1 + static_cast<int>(rng.uniform_int(0, 1));
     sc.faults.add({victim, 1, 2, FaultKind::kKernelTransient});
