@@ -4,10 +4,14 @@
 //
 //   ./quickstart [width height frames]
 //
-// This is real mode: every pixel is actually encoded on host threads, with
-// the framework distributing ME/INT/SME rows across the "devices" and
-// running R* on the selected one, exactly as it would across a CPU and
-// GPUs (see DESIGN.md §1 for the hardware substitution).
+// This is real mode: every pixel is actually encoded on host threads. All
+// modelled "devices" run on the same host cores, so the default adaptive
+// load balancer prices that shared host and runs each inter frame after
+// the first on one device — here the CPU, with the accelerator sitting the
+// frame out — and that device spreads its MB rows over the cores. The "me
+// split" column shows it. An equidistant or proportional policy spreads
+// rows across every device instead (DESIGN.md §1 for the hardware
+// substitution, §6j for the shared host).
 #include "cli_main.hpp"
 #include "codec/bitstream.hpp"
 #include "core/collaborative_encoder.hpp"

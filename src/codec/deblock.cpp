@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <vector>
 
 namespace feves {
@@ -45,8 +47,15 @@ int tc0_of(int index_a, int bs) {
 
 inline u8 clip255(int v) { return static_cast<u8>(std::clamp(v, 0, 255)); }
 
-/// Busy-wait iterations before a wavefront waiter starts yielding its core.
-constexpr int kSpinsBeforeYield = 64;
+/// How long a wavefront waiter spins before it parks. A healthy wait is a
+/// couple of MBs, about a microsecond each; a wait this long means the row
+/// above lost its core, and spinning on would only keep it off one.
+constexpr auto kSpinBeforePark = std::chrono::microseconds(100);
+
+/// Spins between two reads of the clock.
+constexpr int kSpinsPerClockRead = 64;
+
+std::atomic<const detail::WavefrontSeam*> g_wavefront_seam{nullptr};
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -368,32 +377,75 @@ void run_deblock_picture(Frame420& pic, int mb_width, int mb_height,
   // order and a claimed row always runs to its end, so a row only ever
   // waits for a row that is being worked on.
   //
-  // A wait is a couple of MBs long, far shorter than parking a thread and
-  // waking it again, so waiters spin, then yield their core. Each counter
-  // has its own cache line: neighbouring rows' threads write them per MB.
+  // A waiter spins with `pause` for up to kSpinBeforePark, then parks on
+  // the picture's condition variable; it never yields its core to whatever
+  // else is runnable. A row notifies only while the row below has flagged
+  // itself parked, so a wavefront that never parks pays one flag load per
+  // MB. Each row's counter and flag share a cache line of their own:
+  // neighbouring rows' threads write them per MB.
   struct alignas(64) Progress {
     std::atomic<int> done{0};
+    std::atomic<bool> waiter{false};  ///< the row below is parked on `done`
   };
   std::vector<Progress> rows(static_cast<std::size_t>(mb_height));
-  pool->parallel_for(0, mb_height, [&](int mb_y) {
-    const std::atomic<int>* above = mb_y > 0 ? &rows[mb_y - 1].done : nullptr;
-    std::atomic<int>& mine = rows[mb_y].done;
-    for (int mb_x = 0; mb_x < mb_width; ++mb_x) {
-      if (above != nullptr) {
-        const int need = std::min(mb_x + 2, mb_width);
-        for (int spins = 0; above->load(std::memory_order_acquire) < need;
-             ++spins) {
-          if (spins < kSpinsBeforeYield) {
-            cpu_relax();
-          } else {
-            std::this_thread::yield();
-          }
-        }
+  std::mutex park_mutex;
+  std::condition_variable park_cv;
+  const detail::WavefrontSeam* seam =
+      g_wavefront_seam.load(std::memory_order_acquire);
+
+  // The flag store/counter load here and the counter store/flag load in
+  // publish are all seq_cst: either publish sees the flag and wakes the
+  // waiter, or the waiter's predicate sees the new count.
+  const auto wait_for = [&](int mb_y, int need) {
+    Progress& above = rows[mb_y - 1];
+    if (above.done.load(std::memory_order_acquire) >= need) return;
+    const auto deadline = std::chrono::steady_clock::now() + kSpinBeforePark;
+    for (int spins = 1;; ++spins) {
+      cpu_relax();
+      if (above.done.load(std::memory_order_acquire) >= need) return;
+      if (spins % kSpinsPerClockRead == 0 &&
+          std::chrono::steady_clock::now() >= deadline) {
+        break;
       }
-      filter_mb(mb_x, mb_y);
-      mine.store(mb_x + 1, std::memory_order_release);
+    }
+    if (seam != nullptr && seam->on_park) seam->on_park(mb_y);
+    std::unique_lock lock(park_mutex);
+    above.waiter.store(true);
+    park_cv.wait(lock, [&] { return above.done.load() >= need; });
+    above.waiter.store(false, std::memory_order_relaxed);
+  };
+  const auto publish = [&](int mb_y, int count) {
+    Progress& mine = rows[mb_y];
+    mine.done.store(count);
+    if (mine.waiter.load()) {
+      { std::lock_guard lock(park_mutex); }
+      park_cv.notify_all();
+    }
+  };
+
+  pool->parallel_for(0, mb_height, [&](int mb_y) {
+    try {
+      for (int mb_x = 0; mb_x < mb_width; ++mb_x) {
+        if (mb_y > 0) wait_for(mb_y, std::min(mb_x + 2, mb_width));
+        if (seam != nullptr && seam->before_mb) seam->before_mb(mb_x, mb_y);
+        filter_mb(mb_x, mb_y);
+        publish(mb_y, mb_x + 1);
+      }
+    } catch (...) {
+      // Release the rows below before the error leaves: they would wait
+      // for this row forever. The picture is garbage either way.
+      publish(mb_y, mb_width);
+      throw;
     }
   });
 }
+
+namespace detail {
+
+const WavefrontSeam* set_wavefront_seam(const WavefrontSeam* seam) {
+  return g_wavefront_seam.exchange(seam, std::memory_order_acq_rel);
+}
+
+}  // namespace detail
 
 }  // namespace feves

@@ -15,6 +15,8 @@
 #include "video/frame.hpp"
 #include "video/plane.hpp"
 
+#include <functional>
+
 namespace feves {
 
 class ThreadPool;
@@ -58,10 +60,28 @@ void run_deblock_chroma(PlaneU8& chroma, int mb_width, int mb_height,
 /// plus run_deblock_chroma on U and V. With a pool, MB rows run
 /// concurrently as a lag-2 wavefront — MB (x, y) starts once MB (x+1, y-1)
 /// is done — which leaves exactly raster order's pixel state; without one,
-/// MBs run in raster order on the caller.
+/// MBs run in raster order on the caller. A wavefront waiter spins briefly,
+/// then parks until the row above wakes it; it never yields its core.
 void run_deblock_picture(Frame420& pic, int mb_width, int mb_height,
                          const Block4x4Info* blocks, const DeblockParams& luma,
                          const DeblockParams& chroma,
                          ThreadPool* pool = nullptr);
+
+namespace detail {
+
+/// Test seam of run_deblock_picture's wavefront (the pool path): lets a
+/// test stall a row or fail it, and observe a waiter giving up its spin.
+struct WavefrontSeam {
+  /// Runs on the row's thread before MB (mb_x, mb_y) is filtered.
+  std::function<void(int mb_x, int mb_y)> before_mb;
+  /// Runs on row mb_y's thread when it stops spinning and parks.
+  std::function<void(int mb_y)> on_park;
+};
+
+/// Installs `seam` for every later wavefront (nullptr removes it) and
+/// returns the one it replaces. The seam must outlive its installation.
+const WavefrontSeam* set_wavefront_seam(const WavefrontSeam* seam);
+
+}  // namespace detail
 
 }  // namespace feves

@@ -123,6 +123,41 @@ void fill_dbl_info(EncodeJob& job, int mb_x, int mb_y) {
   }
 }
 
+/// The frame header: frame number, type, QP, geometry, reference count.
+void write_frame_header(const EncodeJob& job, BitWriter& bw) {
+  bw.put_ue(static_cast<u32>(job.frame_number));
+  bw.put_bit(job.is_intra ? 1 : 0);
+  bw.put_ue(static_cast<u32>(job.is_intra ? job.cfg->qp_i : job.cfg->qp_p));
+  bw.put_ue(static_cast<u32>(job.cfg->mb_width()));
+  bw.put_ue(static_cast<u32>(job.cfg->mb_height()));
+  bw.put_ue(static_cast<u32>(job.refs.size()));
+}
+
+/// Every MB of rows [row_begin,row_end): mode (intra mode, or partition
+/// and per-block ref/MV), then the CAVLC levels of its 24 4x4 blocks.
+void write_mb_rows(const EncodeJob& job, int row_begin, int row_end,
+                   BitWriter& bw) {
+  const int mbw = job.cfg->mb_width();
+  for (int mb = row_begin * mbw; mb < row_end * mbw; ++mb) {
+    const MbCoded& coded = job.coded[mb];
+    if (job.is_intra) {
+      bw.put_ue(static_cast<u32>(coded.intra_mode));
+    } else {
+      const MbModeChoice& choice = job.choices[mb];
+      bw.put_ue(static_cast<u32>(choice.mode));
+      const PartitionGeometry& g = geometry(choice.mode);
+      for (int b = 0; b < g.num_blocks(); ++b) {
+        bw.put_ue(choice.blocks[b].ref_idx);
+        bw.put_se(choice.blocks[b].mv.x);
+        bw.put_se(choice.blocks[b].mv.y);
+      }
+    }
+    for (int b = 0; b < 16; ++b) cavlc_encode_4x4(bw, coded.luma_levels[b].data());
+    for (int b = 0; b < 4; ++b) cavlc_encode_4x4(bw, coded.cb_levels[b].data());
+    for (int b = 0; b < 4; ++b) cavlc_encode_4x4(bw, coded.cr_levels[b].data());
+  }
+}
+
 }  // namespace
 
 void EncodeJob::prepare(const EncoderConfig& config, const Frame420& current,
@@ -146,6 +181,8 @@ void EncodeJob::prepare(const EncoderConfig& config, const Frame420& current,
   choices.assign(static_cast<std::size_t>(mbs), MbModeChoice{});
   coded.assign(static_cast<std::size_t>(mbs), MbCoded{});
   dbl_info.assign(static_cast<std::size_t>(mbs) * 16, Block4x4Info{});
+  row_bits.resize(static_cast<std::size_t>(config.mb_height()));
+  for (BitWriter& w : row_bits) w.clear();
 
   const int border = ref_border(config);
   if (recycled != nullptr && recycled->recon.y.width() == config.width &&
@@ -174,13 +211,16 @@ void me_rows(EncodeJob& job, int row_begin, int row_end, SimdTier tier) {
 
 void int_rows(EncodeJob& job, int row_begin, int row_end, SimdTier tier) {
   FEVES_CHECK(!job.refs.empty());
-  run_interpolation_rows(job.refs[0]->recon.y, row_begin, row_end,
-                         job.refs[0]->sf, tier);
+  SubPelFrame& sf = job.refs[0]->sf;
+  run_interpolation_rows(job.refs[0]->recon.y, row_begin, row_end, sf, tier);
+  for (auto& plane : sf.phases) {
+    plane.extend_horizontal_borders(row_begin * kMbSize, row_end * kMbSize);
+  }
 }
 
 void finish_interpolation(EncodeJob& job) {
   FEVES_CHECK(!job.refs.empty());
-  extend_subpel_borders(job.refs[0]->sf);
+  for (auto& plane : job.refs[0]->sf.phases) plane.extend_vertical_borders();
   job.refs[0]->sf_ready = true;
 }
 
@@ -329,33 +369,30 @@ void intra_frame(EncodeJob& job, SimdTier tier) {
 }
 
 void write_frame_bitstream(const EncodeJob& job, BitWriter& bw) {
-  const int mbw = job.cfg->mb_width();
-  const int mbh = job.cfg->mb_height();
+  write_frame_header(job, bw);
+  write_mb_rows(job, 0, job.cfg->mb_height(), bw);
+  bw.finish();
+}
 
-  bw.put_ue(static_cast<u32>(job.frame_number));
-  bw.put_bit(job.is_intra ? 1 : 0);
-  bw.put_ue(static_cast<u32>(job.is_intra ? job.cfg->qp_i : job.cfg->qp_p));
-  bw.put_ue(static_cast<u32>(mbw));
-  bw.put_ue(static_cast<u32>(mbh));
-  bw.put_ue(static_cast<u32>(job.refs.size()));
+void entropy_rows(EncodeJob& job, int row_begin, int row_end) {
+  FEVES_CHECK(row_begin >= 0 && row_begin <= row_end &&
+              row_end <= static_cast<int>(job.row_bits.size()));
+  for (int mb_y = row_begin; mb_y < row_end; ++mb_y) {
+    BitWriter& w = job.row_bits[static_cast<std::size_t>(mb_y)];
+    w.clear();
+    write_mb_rows(job, mb_y, mb_y + 1, w);
+  }
+}
 
-  for (int mb = 0; mb < mbw * mbh; ++mb) {
-    const MbCoded& coded = job.coded[mb];
-    if (job.is_intra) {
-      bw.put_ue(static_cast<u32>(coded.intra_mode));
-    } else {
-      const MbModeChoice& choice = job.choices[mb];
-      bw.put_ue(static_cast<u32>(choice.mode));
-      const PartitionGeometry& g = geometry(choice.mode);
-      for (int b = 0; b < g.num_blocks(); ++b) {
-        bw.put_ue(choice.blocks[b].ref_idx);
-        bw.put_se(choice.blocks[b].mv.x);
-        bw.put_se(choice.blocks[b].mv.y);
-      }
-    }
-    for (int b = 0; b < 16; ++b) cavlc_encode_4x4(bw, coded.luma_levels[b].data());
-    for (int b = 0; b < 4; ++b) cavlc_encode_4x4(bw, coded.cb_levels[b].data());
-    for (int b = 0; b < 4; ++b) cavlc_encode_4x4(bw, coded.cr_levels[b].data());
+void splice_frame_bitstream(const EncodeJob& job, BitWriter& bw) {
+  FEVES_CHECK(static_cast<int>(job.row_bits.size()) == job.cfg->mb_height());
+  write_frame_header(job, bw);
+  for (std::size_t y = 0; y < job.row_bits.size(); ++y) {
+    // Every MB codes at least its mode and 24 block tokens, so an empty
+    // writer is a row this attempt never coded.
+    FEVES_CHECK_MSG(job.row_bits[y].bit_count() > 0,
+                    "MB row " << y << " was not entropy coded");
+    bw.append(job.row_bits[y]);
   }
   bw.finish();
 }

@@ -7,6 +7,7 @@
 // tail).
 #pragma once
 
+#include "codec/bitstream.hpp"
 #include "codec/deblock.hpp"
 #include "codec/intra.hpp"
 #include "codec/mc.hpp"
@@ -53,6 +54,11 @@ struct EncodeJob {
   /// Reconstruction under construction (becomes the next RF).
   std::unique_ptr<RefPicture> recon;
 
+  /// Per MB row, that row's entropy-coded MBs (entropy_rows). prepare()
+  /// empties every writer and keeps its capacity, so a row an attempt did
+  /// not code can never reach splice_frame_bitstream.
+  std::vector<BitWriter> row_bits;
+
   int frame_number = 0;
   bool is_intra = false;
 
@@ -73,8 +79,9 @@ struct EncodeJob {
 void me_rows(EncodeJob& job, int row_begin, int row_end,
              SimdTier tier = SimdTier::kAuto);
 
-/// INT over MB rows of the newest reference's SF. `tier` selects the
-/// interpolation kernel tier (registry id kInterp).
+/// INT over MB rows of the newest reference's SF, horizontal borders of
+/// those rows included. `tier` selects the interpolation kernel tier
+/// (registry id kInterp).
 void int_rows(EncodeJob& job, int row_begin, int row_end,
               SimdTier tier = SimdTier::kAuto);
 
@@ -84,8 +91,11 @@ void int_rows(EncodeJob& job, int row_begin, int row_end,
 void sme_rows(EncodeJob& job, int row_begin, int row_end,
               SimdTier tier = SimdTier::kAuto);
 
-/// Marks refs[0]->sf complete: extends its borders. Host-side step after
-/// all INT row slices are gathered (Fig 4's SF(RF)→SME completion).
+/// Marks refs[0]->sf complete: extends its vertical borders. Host-side step
+/// after all INT row slices are gathered (Fig 4's SF(RF)→SME completion).
+/// Every writer of SF rows extends their horizontal borders itself —
+/// int_rows, and the gathers of accelerator slices, which copy borders and
+/// all — so only the rows above and below the frame are left to fill.
 void finish_interpolation(EncodeJob& job);
 
 // ---- R* block (single device, whole frame) ------------------------------
@@ -117,11 +127,18 @@ void intra_frame(EncodeJob& job, SimdTier tier = SimdTier::kAuto);
 
 // ---- Entropy / bitstream -------------------------------------------------
 
-class BitWriter;
-class BitReader;
-
 /// Serializes the frame (header, per-MB modes/MVs/levels) after R*.
 void write_frame_bitstream(const EncodeJob& job, BitWriter& bw);
+
+/// Entropy-codes MB rows [row_begin,row_end) of a coded frame, each into
+/// its own job.row_bits writer (emptied first). Rows are independent, so
+/// this can run per row right after that row's R* work.
+void entropy_rows(EncodeJob& job, int row_begin, int row_end);
+
+/// The frame header, then every row of job.row_bits spliced at whatever bit
+/// offset the previous one ended, then the trailing bits: bit-identical to
+/// write_frame_bitstream. Every row must have been coded since prepare().
+void splice_frame_bitstream(const EncodeJob& job, BitWriter& bw);
 
 /// Full reference encoder: runs every module single-device. Returns the
 /// reconstructed picture (push into a RefList) and appends the bitstream.

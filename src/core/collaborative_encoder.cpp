@@ -88,8 +88,14 @@ FrameStats CollaborativeEncoder::encode_frame(const Frame420& cur,
   }
 
   if (bitstream_out != nullptr) {
+    // An inter frame's MB rows were entropy coded inside R*; only the
+    // header and the splice are left.
     BitWriter bw;
-    write_frame_bitstream(job_, bw);
+    if (job_.is_intra) {
+      write_frame_bitstream(job_, bw);
+    } else {
+      splice_frame_bitstream(job_, bw);
+    }
     const auto& bytes = bw.bytes();
     bitstream_out->insert(bitstream_out->end(), bytes.begin(), bytes.end());
   }

@@ -2,11 +2,12 @@
 // an actual bitstream and reconstruction, with kernels executing on host
 // threads and transfers performing genuine copies into per-device mirror
 // buffers. On top of the shared loop, this shell keeps the bootstrap I
-// frame, the job arena, the reference list and the bitstream write; its
-// hooks stage the mirrors before each attempt, prestage them in the shadow,
-// and after a failed attempt mark them stale and reset the Data Access
-// state (cancelled ops leave the mirrors and the deferred-SF ledger out of
-// step).
+// frame, the job arena, the reference list and the bitstream write (an
+// inter frame's MB rows arrive entropy coded from R*, so the write is the
+// header and a splice). Its hooks stage the mirrors before each attempt,
+// prestage them in the shadow, and after a failed attempt mark them stale
+// and reset the Data Access state (cancelled ops leave the mirrors and the
+// deferred-SF ledger out of step).
 //
 // This is the correctness anchor of the repository: for any topology and
 // scheduling policy, the reconstruction must match the single-device

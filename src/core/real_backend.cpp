@@ -241,7 +241,8 @@ OpPayload RealBackend::op_int(int device, RowInterval rows) {
               run_interpolation_rows(m.refs[0]->recon_y, y, y + 1,
                                      m.refs[0]->sf, tier_);
               // Local slices must carry valid horizontal borders for SME's
-              // out-of-frame motion vectors.
+              // out-of-frame motion vectors; the canonical SF takes them
+              // along (see finish_interpolation).
               for (auto& plane : m.refs[0]->sf.phases) {
                 plane.extend_horizontal_borders(y * kMbSize,
                                                 (y + 1) * kMbSize);
@@ -254,7 +255,7 @@ OpPayload RealBackend::op_int(int device, RowInterval rows) {
                 for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
                   copy_pixel_rows(m.refs[0]->sf.phases[ph],
                                   job_.refs[0]->sf.phases[ph], {y, y + 1},
-                                  false);
+                                  true);
                 }
               }
             });
@@ -315,9 +316,11 @@ OpPayload RealBackend::op_rstar(int device) {
             }
             ensure_sf_assembled();
             // rstar_frame split over the device's cores: independent MB
-            // rows, then the deblocking wavefront.
+            // rows, each entropy coded as soon as its levels exist, then
+            // the deblocking wavefront.
             pool_.parallel_for(0, job_.cfg->mb_height(), [this](int y) {
               rstar_rows(job_, y, y + 1, tier_);
+              entropy_rows(job_, y, y + 1);
             });
             finish_reconstruction(job_, tier_, &pool_);
           }};
@@ -389,13 +392,13 @@ OpPayload RealBackend::op_xfer(int device, XferPurpose purpose,
               }
               case XferPurpose::kSfOut: {
                 // Gather the locally interpolated slice into the canonical
-                // SF (interior only; canonical borders are extended at
-                // assembly time).
+                // SF with its horizontal borders (op_int extended them);
+                // assembly adds only the vertical ones.
                 SubPelFrame& dst = job_.refs[0]->sf;
                 const SubPelFrame& src = m.refs[0]->sf;
                 for (const RowInterval& f : frags) {
                   for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
-                    copy_pixel_rows(src.phases[ph], dst.phases[ph], f, false);
+                    copy_pixel_rows(src.phases[ph], dst.phases[ph], f, true);
                   }
                 }
                 break;

@@ -235,52 +235,24 @@ TEST(WorkerManager, CrashedNodeWorkLandsOnSurvivorBitIdentical) {
   EXPECT_GT(nc[1].completions, 0);
 }
 
-TEST(WorkerManager, HungZombieRepliesAreFencedNotCommitted) {
-  // Node 0 hangs from beat 1: submits to it land but ack late (uncertain),
-  // so the manager burns those epochs and the survivor encodes everything.
-  // When the hang lifts, the zombie executes its stale queue and replies —
-  // every one must be fenced, and the output must still be bit-exact.
-  NodeFaultSchedule hang;
-  hang.add({/*node=*/0, /*beat_begin=*/1, /*beat_end=*/120,
-            NodeFaultKind::kHang});
-
-  WorkerManager mgr(fast_opts());
-  mgr.register_worker(
-      std::make_unique<LoopbackWorker>(0, "zombie", big_node(), hang));
-  mgr.register_worker(
-      std::make_unique<LoopbackWorker>(1, "survivor", small_node()));
-
-  ClusterSessionConfig sc;
-  sc.cfg = virtual_config();
-  sc.frames = 6;
-  sc.chunk_frames = 6;
-  const ClusterSessionResult r = mgr.wait(mgr.submit(sc));
-
-  EXPECT_EQ(r.reason, TerminalReason::kCompleted);
-  EXPECT_EQ(r.frames.size(), 6u);
-
-  // The uncertain acks left stale shards on the zombie; once it wakes it
-  // finishes them and the manager drops every reply by epoch.
-  EXPECT_TRUE(eventually(mgr, [](const obs::NodeTelemetry& t) {
-    return t.fenced_replies >= 1;
-  })) << "zombie replies must surface and be fenced";
-  const obs::NodeTelemetry t = mgr.telemetry();
-  EXPECT_GE(t.rpc_retries, 1) << "uncertain acks were retried with backoff";
-  EXPECT_EQ(mgr.node_counters()[0].completions, 0);
-}
-
-/// A transport in front of a node that orders its false-positive death by
-/// construction: the node answers every heartbeat until it holds work (so
-/// the manager dispatches to it while it is alive), then its own fault
-/// schedule takes over the heartbeats, and its completions are held until
-/// the manager has seen more than `dead_misses` misses — it declared the
-/// node dead, and fenced its lease, on the last of those. A held reply is
-/// released from inside a later heartbeat, before that tick drains the
-/// inbox, so it always meets the fence.
+/// A transport in front of a node that orders its death by construction:
+/// the node answers every heartbeat until it holds work (so the manager
+/// dispatches to it while it is alive), then its own fault schedule takes
+/// over the heartbeats, and its completions are held until the manager has
+/// seen more than `dead_misses` misses — it declared the node dead, and
+/// fenced its lease, on the last of those. A held reply is released from
+/// inside a later heartbeat, before that tick drains the inbox, so it
+/// always meets the fence. With late acks, every submit the node accepts
+/// lands on it but is answered kDeadlineExceeded: a hung node's uncertain
+/// submit, which the manager retries under a fresh epoch each time and
+/// never counts as dispatched there.
 class RepliesAfterDeath final : public WorkerProxy {
  public:
-  RepliesAfterDeath(std::unique_ptr<WorkerProxy> inner, int dead_misses)
-      : inner_(std::move(inner)), dead_misses_(dead_misses) {}
+  enum class Acks { kOnTime, kLate };
+
+  RepliesAfterDeath(std::unique_ptr<WorkerProxy> inner, int dead_misses,
+                    Acks acks = Acks::kOnTime)
+      : inner_(std::move(inner)), dead_misses_(dead_misses), acks_(acks) {}
 
   NodeId id() const override { return inner_->id(); }
 
@@ -312,6 +284,7 @@ class RepliesAfterDeath final : public WorkerProxy {
     if (st == RpcStatus::kOk) {
       std::lock_guard<std::mutex> lk(mu_);
       holds_work_ = true;
+      if (acks_ == Acks::kLate) return RpcStatus::kDeadlineExceeded;
     }
     return st;
   }
@@ -342,6 +315,7 @@ class RepliesAfterDeath final : public WorkerProxy {
  private:
   std::unique_ptr<WorkerProxy> inner_;
   const int dead_misses_;
+  const Acks acks_;
   std::mutex mu_;
   bool holds_work_ = false;
   int misses_ = 0;
@@ -387,6 +361,45 @@ TEST(WorkerManager, HeartbeatLossFalsePositiveDeathStaysBitExact) {
   EXPECT_TRUE(eventually(mgr, [](const obs::NodeTelemetry& t) {
     return t.fenced_replies >= 1;
   })) << "the healthy zombie's reply must be fenced";
+}
+
+TEST(WorkerManager, HungZombieRepliesAreFencedNotCommitted) {
+  // Node 0 hangs once it holds work: submits to it land but ack late
+  // (uncertain), so the manager burns those epochs, and its heartbeats stop,
+  // so it is suspected, declared dead, and the survivor encodes everything.
+  // The zombie executes its stale queue all the same and replies once it is
+  // dead — every reply must be fenced, and the output must still be whole.
+  // The transport orders these steps by construction, not by beat timing.
+  NodeFaultSchedule hung;
+  hung.add({/*node=*/0, /*beat_begin=*/1, kFaultForever,
+            NodeFaultKind::kHeartbeatLoss});
+
+  const WorkerManagerOptions opts = fast_opts();
+  WorkerManager mgr(opts);
+  mgr.register_worker(std::make_unique<RepliesAfterDeath>(
+      std::make_unique<LoopbackWorker>(0, "zombie", big_node(), hung),
+      opts.heartbeat.dead_misses, RepliesAfterDeath::Acks::kLate));
+  mgr.register_worker(
+      std::make_unique<LoopbackWorker>(1, "survivor", small_node()));
+
+  ClusterSessionConfig sc;
+  sc.cfg = virtual_config();
+  sc.frames = 6;
+  sc.chunk_frames = 6;
+  const ClusterSessionResult r = mgr.wait(mgr.submit(sc));
+
+  EXPECT_EQ(r.reason, TerminalReason::kCompleted);
+  EXPECT_EQ(r.frames.size(), 6u);
+
+  // The uncertain acks left stale shards on the zombie; it finishes them
+  // and the manager drops every reply by epoch.
+  EXPECT_TRUE(eventually(mgr, [](const obs::NodeTelemetry& t) {
+    return t.fenced_replies >= 1;
+  })) << "zombie replies must surface and be fenced";
+  const obs::NodeTelemetry t = mgr.telemetry();
+  EXPECT_GE(t.rpc_retries, 1) << "uncertain acks were retried with backoff";
+  EXPECT_GE(t.nodes_died, 1);
+  EXPECT_EQ(mgr.node_counters()[0].completions, 0);
 }
 
 TEST(WorkerManager, AllNodesDeadAttributesNoLiveWorker) {

@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace feves {
@@ -170,6 +175,39 @@ TEST(Deblock, FrameBoundariesNeverFiltered) {
   EXPECT_EQ(fx.luma.at(0, 0), 100);
 }
 
+/// Flat 4x4 tiles plus noise: tile steps small enough that many edges
+/// filter, large enough that some do not.
+Frame420 blocky_picture(Rng& rng, int w, int h) {
+  Frame420 pic(w, h, 16);
+  for (PlaneU8* plane : {&pic.y, &pic.u, &pic.v}) {
+    for (int by = 0; by < plane->height() / 4; ++by) {
+      for (int bx = 0; bx < plane->width() / 4; ++bx) {
+        const int base = static_cast<int>(rng.uniform_int(40, 215));
+        for (int y = by * 4; y < by * 4 + 4; ++y) {
+          for (int x = bx * 4; x < bx * 4 + 4; ++x) {
+            plane->at(y, x) = static_cast<u8>(
+                base + static_cast<int>(rng.uniform_int(-3, 3)));
+          }
+        }
+      }
+    }
+  }
+  return pic;
+}
+
+/// Random bS 0..4 per 4x4 block (intra blocks take the strong filter).
+std::vector<Block4x4Info> random_blocks(Rng& rng, int count) {
+  std::vector<Block4x4Info> blocks(static_cast<std::size_t>(count));
+  for (Block4x4Info& b : blocks) {
+    b.intra = rng.uniform_int(0, 9) == 0;
+    b.nonzero = rng.uniform_int(0, 2) == 0;
+    b.ref_idx = static_cast<u8>(rng.uniform_int(0, 1));
+    b.mv = Mv{static_cast<i16>(rng.uniform_int(-6, 6)),
+              static_cast<i16>(rng.uniform_int(-6, 6))};
+  }
+  return blocks;
+}
+
 // The deblocking wavefront (MB (x, y) starts once MB (x+1, y-1) is done)
 // must leave exactly the pixels of raster order, luma and both chroma
 // planes: random bS 0..4 per 4x4 block (intra blocks take the strong
@@ -186,31 +224,9 @@ TEST(Deblock, WavefrontMatchesRasterOrder) {
     for (const int qp : {18, 28, 36, 45, 51}) {
       const int w = g.mbw * kMbSize;
       const int h = g.mbh * kMbSize;
-      Frame420 src(w, h, 16);
-      // Flat 4x4 tiles plus noise: tile steps small enough that many edges
-      // filter, large enough that some do not.
-      for (PlaneU8* plane : {&src.y, &src.u, &src.v}) {
-        for (int by = 0; by < plane->height() / 4; ++by) {
-          for (int bx = 0; bx < plane->width() / 4; ++bx) {
-            const int base = static_cast<int>(rng.uniform_int(40, 215));
-            for (int y = by * 4; y < by * 4 + 4; ++y) {
-              for (int x = bx * 4; x < bx * 4 + 4; ++x) {
-                plane->at(y, x) = static_cast<u8>(
-                    base + static_cast<int>(rng.uniform_int(-3, 3)));
-              }
-            }
-          }
-        }
-      }
-      std::vector<Block4x4Info> blocks(
-          static_cast<std::size_t>(g.mbw * 4 * g.mbh * 4));
-      for (Block4x4Info& b : blocks) {
-        b.intra = rng.uniform_int(0, 9) == 0;
-        b.nonzero = rng.uniform_int(0, 2) == 0;
-        b.ref_idx = static_cast<u8>(rng.uniform_int(0, 1));
-        b.mv = Mv{static_cast<i16>(rng.uniform_int(-6, 6)),
-                  static_cast<i16>(rng.uniform_int(-6, 6))};
-      }
+      const Frame420 src = blocky_picture(rng, w, h);
+      const std::vector<Block4x4Info> blocks =
+          random_blocks(rng, g.mbw * 4 * g.mbh * 4);
       for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAuto}) {
         DeblockParams luma;
         luma.qp = qp;
@@ -239,6 +255,82 @@ TEST(Deblock, WavefrontMatchesRasterOrder) {
       }
     }
   }
+}
+
+// A waiter whose row above stalls past the spin bound parks, and the row
+// above wakes it: by construction, row 0 holds its first MB until row 1
+// has reported parking (so row 1 cannot finish by spinning), and the
+// picture must still be raster order's.
+TEST(Deblock, WavefrontWaiterParksAndIsWoken) {
+  ThreadPool pool(2);
+  Rng rng(977);
+  const int mbw = 6;
+  const int mbh = 4;
+  const Frame420 src = blocky_picture(rng, mbw * kMbSize, mbh * kMbSize);
+  const std::vector<Block4x4Info> blocks = random_blocks(rng, mbw * mbh * 16);
+  DeblockParams luma;
+  luma.qp = 36;
+  DeblockParams chroma = luma;
+  chroma.qp = 33;
+
+  Frame420 raster = src;
+  run_deblock_picture(raster, mbw, mbh, blocks.data(), luma, chroma);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> parked_rows;
+  bool row1_parked = false;
+  bool released_by_park = false;
+  detail::WavefrontSeam seam;
+  seam.on_park = [&](int mb_y) {
+    std::lock_guard lock(mu);
+    parked_rows.push_back(mb_y);
+    if (mb_y == 1) row1_parked = true;
+    cv.notify_all();
+  };
+  seam.before_mb = [&](int mb_x, int mb_y) {
+    if (mb_x != 0 || mb_y != 0) return;
+    // Bounded: a pool that never ran row 1 fails the test, not the suite.
+    std::unique_lock lock(mu);
+    released_by_park =
+        cv.wait_for(lock, std::chrono::seconds(20), [&] { return row1_parked; });
+    lock.unlock();
+    // on_park runs just before the waiter blocks; give it time to get
+    // there, so the wake-up below is the one that releases it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  const detail::WavefrontSeam* previous = detail::set_wavefront_seam(&seam);
+  Frame420 wave = src;
+  run_deblock_picture(wave, mbw, mbh, blocks.data(), luma, chroma, &pool);
+  detail::set_wavefront_seam(previous);
+
+  EXPECT_TRUE(released_by_park) << "row 1 never parked behind stalled row 0";
+  EXPECT_TRUE(frames_bit_exact(raster, wave));
+  EXPECT_NE(std::find(parked_rows.begin(), parked_rows.end(), 1),
+            parked_rows.end());
+}
+
+// A row that fails mid-picture releases the rows waiting on it, so the
+// error reaches the caller instead of leaving them parked for good.
+TEST(Deblock, WavefrontRowFailureReachesTheCaller) {
+  ThreadPool pool(3);
+  Rng rng(978);
+  const int mbw = 5;
+  const int mbh = 6;
+  const Frame420 src = blocky_picture(rng, mbw * kMbSize, mbh * kMbSize);
+  const std::vector<Block4x4Info> blocks = random_blocks(rng, mbw * mbh * 16);
+  DeblockParams luma;
+  luma.qp = 36;
+  detail::WavefrontSeam seam;
+  seam.before_mb = [](int mb_x, int mb_y) {
+    if (mb_x == 1 && mb_y == 2) throw std::runtime_error("row 2 failed");
+  };
+  const detail::WavefrontSeam* previous = detail::set_wavefront_seam(&seam);
+  Frame420 wave = src;
+  EXPECT_THROW(run_deblock_picture(wave, mbw, mbh, blocks.data(), luma, luma,
+                                   &pool),
+               std::runtime_error);
+  detail::set_wavefront_seam(previous);
 }
 
 }  // namespace

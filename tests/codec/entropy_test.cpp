@@ -63,6 +63,132 @@ TEST(Bitstream, ReaderThrowsPastEnd) {
   EXPECT_THROW(br.get_bit(), Error);
 }
 
+// ---- BitWriter against a bit-at-a-time oracle ---------------------------
+
+/// The writer's contract one bit at a time: MSB-first codes, Exp-Golomb as
+/// leading zeros plus v + 1, and a stop bit plus zeros up to a byte.
+struct BitOracle {
+  std::vector<int> bits;
+
+  void put_bits(u32 value, int count) {
+    for (int i = count - 1; i >= 0; --i) bits.push_back((value >> i) & 1);
+  }
+  void put_ue(u32 v) {
+    const u64 code = static_cast<u64>(v) + 1;
+    int len = 0;
+    while ((code >> (len + 1)) != 0) ++len;
+    for (int i = 0; i < len; ++i) bits.push_back(0);
+    for (int i = len; i >= 0; --i) bits.push_back(static_cast<int>((code >> i) & 1));
+  }
+  std::vector<u8> finished() const {
+    std::vector<int> b = bits;
+    if (b.size() % 8 != 0) {
+      b.push_back(1);
+      while (b.size() % 8 != 0) b.push_back(0);
+    }
+    std::vector<u8> out(b.size() / 8, 0);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      out[i / 8] = static_cast<u8>(out[i / 8] | (b[i] << (7 - i % 8)));
+    }
+    return out;
+  }
+};
+
+/// Writes `n` random codes — single bits, 0..32-bit fields, ue(v) across
+/// every code length up to v = 2^32 - 1, se(v) — into both.
+void random_codes(Rng& rng, int n, BitWriter& bw, BitOracle& oracle) {
+  for (int i = 0; i < n; ++i) {
+    switch (rng.uniform_int(0, 3)) {
+      case 0: {
+        const int bit = static_cast<int>(rng.uniform_int(0, 1));
+        bw.put_bit(bit);
+        oracle.put_bits(static_cast<u32>(bit), 1);
+        break;
+      }
+      case 1: {
+        const int count = static_cast<int>(rng.uniform_int(0, 32));
+        const u32 value = static_cast<u32>(rng.next());  // high bits ignored
+        bw.put_bits(value, count);
+        oracle.put_bits(count == 32 ? value : value & ((1u << count) - 1),
+                        count);
+        break;
+      }
+      case 2: {
+        const int width = static_cast<int>(rng.uniform_int(0, 32));
+        u32 v = width == 0 ? 0u : static_cast<u32>(rng.next() >> (64 - width));
+        if (rng.uniform_int(0, 15) == 0) v = 0xFFFFFFFFu;
+        bw.put_ue(v);
+        oracle.put_ue(v);
+        break;
+      }
+      default: {
+        const i32 v = static_cast<i32>(rng.uniform_int(-100000, 100000));
+        bw.put_se(v);
+        oracle.put_ue(v <= 0 ? static_cast<u32>(-2 * static_cast<i64>(v))
+                             : static_cast<u32>(2 * static_cast<i64>(v) - 1));
+        break;
+      }
+    }
+  }
+}
+
+TEST(Bitstream, WriterMatchesBitAtATimeOracle) {
+  Rng rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    BitWriter bw;
+    BitOracle oracle;
+    random_codes(rng, static_cast<int>(rng.uniform_int(0, 300)), bw, oracle);
+    EXPECT_EQ(bw.bit_count(), oracle.bits.size()) << "round " << round;
+    bw.finish();
+    ASSERT_EQ(bw.bytes(), oracle.finished()) << "round " << round;
+  }
+}
+
+TEST(Bitstream, AppendSplicesAtEveryBitOffset) {
+  Rng rng(2025);
+  for (int offset = 0; offset < 8; ++offset) {
+    for (int round = 0; round < 40; ++round) {
+      BitWriter head;
+      BitOracle oracle;
+      // `offset` bits past some whole bytes (none at all in round 0).
+      const u32 whole_bytes = round == 0 ? 0u : static_cast<u32>(rng.uniform_int(0, 5));
+      for (u32 b = 0; b < whole_bytes; ++b) {
+        const u32 byte = static_cast<u32>(rng.uniform_int(0, 255));
+        head.put_bits(byte, 8);
+        oracle.put_bits(byte, 8);
+      }
+      const u32 lead = static_cast<u32>(rng.uniform_int(0, 255)) & ((1u << offset) - 1);
+      head.put_bits(lead, offset);
+      oracle.put_bits(lead, offset);
+      // Every other round splices an empty writer.
+      BitWriter row;
+      if (round % 2 == 1) {
+        random_codes(rng, static_cast<int>(rng.uniform_int(1, 120)), row, oracle);
+      }
+      const std::size_t row_bits = row.bit_count();
+      head.append(row);
+      EXPECT_EQ(row.bit_count(), row_bits) << "append leaves its source alone";
+      random_codes(rng, static_cast<int>(rng.uniform_int(0, 10)), head, oracle);
+      EXPECT_EQ(head.bit_count(), oracle.bits.size())
+          << "offset " << offset << ", round " << round;
+      head.finish();
+      ASSERT_EQ(head.bytes(), oracle.finished())
+          << "offset " << offset << ", round " << round;
+    }
+  }
+}
+
+TEST(Bitstream, ClearKeepsNothingButCapacity) {
+  BitWriter bw;
+  bw.put_bits(0xABCDE, 20);
+  bw.clear();
+  EXPECT_EQ(bw.bit_count(), 0u);
+  bw.put_ue(2);  // '011'
+  bw.finish();
+  ASSERT_EQ(bw.bytes().size(), 1u);
+  EXPECT_EQ(bw.bytes()[0], 0b01110000);
+}
+
 // ---- CAVLC --------------------------------------------------------------
 
 void roundtrip(const i16 in[16]) {

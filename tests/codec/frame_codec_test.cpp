@@ -119,6 +119,41 @@ TEST(FrameCodec, RowSlicedModulesMatchWholeFrameBitExactly) {
   EXPECT_TRUE(frames_bit_exact(whole->recon, job.recon->recon));
 }
 
+// Rows entropy coded into writers of their own, in any order, then spliced
+// behind the header: the frame's bits are write_frame_bitstream's exactly.
+// A row left uncoded since prepare() cannot be spliced.
+TEST(FrameCodec, SplicedRowBitstreamMatchesSerialWriter) {
+  const EncoderConfig cfg = small_config();
+  SyntheticSequence seq(small_scene(2));
+  Frame420 f0(cfg.width, cfg.height), f1(cfg.width, cfg.height);
+  ASSERT_TRUE(seq.read_frame(0, f0));
+  ASSERT_TRUE(seq.read_frame(1, f1));
+  RefList refs(cfg.num_ref_frames);
+  refs.push_front(encode_frame_reference(cfg, f0, refs, 0, nullptr));
+
+  EncodeJob job;
+  job.prepare(cfg, f1, {&refs.ref(0)}, 1);
+  const int rows = cfg.num_mb_rows();
+  me_rows(job, 0, rows);
+  int_rows(job, 0, rows);
+  finish_interpolation(job);
+  sme_rows(job, 0, rows);
+  rstar_frame(job);
+
+  BitWriter serial;
+  write_frame_bitstream(job, serial);
+
+  for (int y = rows - 1; y >= 0; --y) entropy_rows(job, y, y + 1);
+  entropy_rows(job, 1, 2);  // re-coding a row replaces it
+  BitWriter spliced;
+  splice_frame_bitstream(job, spliced);
+  EXPECT_EQ(spliced.bytes(), serial.bytes());
+
+  job.row_bits[2].clear();
+  BitWriter missing;
+  EXPECT_THROW(splice_frame_bitstream(job, missing), Error);
+}
+
 TEST(FrameCodec, ScalarAndBlockedTiersBitExact) {
   const EncoderConfig cfg = small_config();
   SyntheticSequence seq(small_scene(2));

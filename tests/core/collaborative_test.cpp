@@ -1,11 +1,14 @@
 #include "core/collaborative_encoder.hpp"
 
 #include "codec/bitstream.hpp"
+#include "codec/interpolate.hpp"
 #include "platform/presets.hpp"
 #include "video/metrics.hpp"
 #include "video/sequence.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 namespace feves {
 namespace {
@@ -252,6 +255,56 @@ TEST(Collaborative, SysNffMultiRowDevicesBitExact) {
   }
   EXPECT_EQ(bits, ref_bits);
 }
+
+/// True when every byte of the two planes matches, borders included.
+bool planes_equal_with_borders(const PlaneU8& a, const PlaneU8& b) {
+  if (!a.same_geometry(b)) return false;
+  const int border = a.border();
+  const std::size_t bytes = static_cast<std::size_t>(a.width() + 2 * border);
+  for (int y = -border; y < a.height() + border; ++y) {
+    if (std::memcmp(a.row(y) - border, b.row(y) - border, bytes) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every writer of canonical SF rows extends their horizontal borders — the
+// host's INT rows, the SF_out gathers of accelerator slices, a solo
+// accelerator's local publish — and assembly adds only the vertical ones.
+// The assembled SF, borders included, must be exactly one whole-frame
+// interpolation with every border extended.
+class CanonicalSf : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CanonicalSf, BordersMatchWholeFrameInterpolation) {
+  EncoderConfig cfg = small_config();
+  cfg.width = 128;
+  cfg.height = 176;
+  const auto frames = load_frames(cfg, 4);
+  FrameworkOptions opts;
+  opts.policy = SchedulingPolicy::kEquidistant;
+  CollaborativeEncoder enc(cfg, topology_by_name(GetParam()), opts);
+  std::vector<u8> bits;
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    enc.encode_frame(frames[f], &bits);
+    if (f == 0) continue;
+    // Frame f interpolated the previous reconstruction, now refs[1].
+    const EncoderCheckpoint cp = enc.checkpoint();
+    ASSERT_EQ(cp.refs.size(), 2u);
+    const RefPicture& rf = *cp.refs[1];
+    ASSERT_TRUE(rf.sf_ready);
+    SubPelFrame want(cfg.width, cfg.height, rf.sf.phases[0].border());
+    run_interpolation_rows(rf.recon.y, 0, cfg.num_mb_rows(), want);
+    extend_subpel_borders(want);
+    for (int ph = 0; ph < kSubPel * kSubPel; ++ph) {
+      ASSERT_TRUE(planes_equal_with_borders(rf.sf.phases[ph], want.phases[ph]))
+          << GetParam() << ", frame " << f << ", phase " << ph;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SysNffAndSoloAccelerator, CanonicalSf,
+                         ::testing::Values("SysNFF", "GPU_F"));
 
 }  // namespace
 }  // namespace feves

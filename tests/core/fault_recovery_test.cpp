@@ -5,11 +5,16 @@
 #include "core/collaborative_encoder.hpp"
 #include "core/framework.hpp"
 
+#include "codec/deblock.hpp"
+
 #include "platform/presets.hpp"
 #include "video/metrics.hpp"
 #include "video/sequence.hpp"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <stdexcept>
 
 namespace feves {
 namespace {
@@ -182,6 +187,43 @@ TEST(FaultRecoveryReal, HangIsFencedByWatchdogAndStaysBitExact) {
   EXPECT_EQ(bits, ref_bits);
   EXPECT_EQ(stats[2].retries, 1);
   EXPECT_EQ(stats[2].devices_quarantined, 1);
+}
+
+TEST(FaultRecoveryReal, RstarFailureAfterRowCodingStaysBitExact) {
+  // R* entropy codes each MB row into the job's row writers before its
+  // deblocking tail. Here the first wavefront of frame 2 throws after every
+  // row of that attempt was coded; the retry codes them again. The stream
+  // must equal the reference encoder's byte for byte: no row writer of the
+  // failed attempt may leak into it.
+  EncoderConfig cfg = small_config();
+  cfg.width = 352;
+  cfg.height = 288;
+  const auto frames = load_frames(cfg, 4);
+  std::vector<u8> ref_bits;
+  const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
+
+  std::atomic<bool> armed{false};
+  detail::WavefrontSeam seam;
+  seam.before_mb = [&](int, int) {
+    if (armed.exchange(false)) throw std::runtime_error("injected DBL failure");
+  };
+  struct SeamGuard {
+    const detail::WavefrontSeam* previous;
+    ~SeamGuard() { detail::set_wavefront_seam(previous); }
+  } guard{detail::set_wavefront_seam(&seam)};
+
+  CollaborativeEncoder enc(cfg, test_topo(2), all_devices_run());
+  std::vector<u8> bits;
+  std::vector<FrameStats> stats;
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    armed.store(f == 2);
+    stats.push_back(enc.encode_frame(frames[f], &bits));
+    ASSERT_TRUE(frames_bit_exact(enc.last_recon(), ref_recons[f]))
+        << "frame " << f;
+  }
+  EXPECT_FALSE(armed.load()) << "frame 2's wavefront never ran";
+  EXPECT_GE(stats[2].retries, 1);
+  EXPECT_EQ(bits, ref_bits);
 }
 
 // ---- Virtual mode: graceful degradation and re-admission ------------------

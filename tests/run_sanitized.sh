@@ -64,9 +64,21 @@ run_bounded "$BUILD/tests/test_core" --gtest_filter='FramePipeline.*'
 
 # Multi-core real-mode devices: every lane fans its rows over the one
 # process-wide device pool. TSan covers lanes sharing that pool and the R*
-# row split; ASan covers the deblocking wavefront's reads and writes.
-run_bounded "$BUILD/tests/test_codec" --gtest_filter='RStar.*:Deblock.WavefrontMatchesRasterOrder'
-run_bounded "$BUILD/tests/test_core" --gtest_filter='Collaborative.SysNffMultiRowDevicesBitExact'
+# row split; ASan covers the deblocking wavefront's reads and writes. The
+# wavefront's park path runs by construction (a stalled row makes the row
+# below park, then wakes it), and a failing row releases its waiters.
+# Canonical SF rows take their horizontal borders from whoever writes them
+# (host INT rows, SF_out gathers, a solo accelerator's publish) while other
+# lanes read the rows next to them.
+run_bounded "$BUILD/tests/test_codec" --gtest_filter='RStar.*:Deblock.Wavefront*'
+run_bounded "$BUILD/tests/test_core" --gtest_filter='Collaborative.SysNffMultiRowDevicesBitExact:*CanonicalSf.*'
+
+# Entropy coding per MB row inside R*: rows coded into writers of their own
+# on the pool's threads, spliced after the frame. The FaultRecovery* slice
+# above includes FaultRecoveryReal.RstarFailureAfterRowCodingStaysBitExact,
+# which fails an R* attempt after every row was coded: the stream must
+# still match the reference byte for byte.
+run_bounded "$BUILD/tests/test_codec" --gtest_filter='Bitstream.*:FrameCodec.SplicedRowBitstreamMatchesSerialWriter'
 
 # Kernel-registry oracle battery: the explicit SSE2/AVX2 tiers' loads and
 # stores under ASan/UBSan, then again with the CPU capped at SSE2 so the
