@@ -4,6 +4,14 @@
 
 namespace feves::cluster {
 
+namespace {
+
+// A probation relapse doubles the clean window the node must show next
+// time, up to this many beats.
+constexpr int kMaxProbationBeats = 32;
+
+}  // namespace
+
 const char* to_string(NodeLiveness s) {
   switch (s) {
     case NodeLiveness::kAlive: return "alive";
@@ -48,11 +56,7 @@ bool HeartbeatMonitor::record_miss(int node) {
   if (n.state == NodeLiveness::kProbation) {
     // Relapse: back to suspect with a grown clean-window requirement, so a
     // flapping node pays geometrically more proof before full trust.
-    n.probation_window = std::min(
-        opts_.max_probation_beats,
-        std::max(n.probation_window + 1,
-                 static_cast<int>(n.probation_window *
-                                  opts_.probation_backoff)));
+    n.probation_window = std::min(kMaxProbationBeats, 2 * n.probation_window);
     n.probation_clean = 0;
     n.state = NodeLiveness::kSuspect;
     // A probation relapse starts the death countdown from the suspect

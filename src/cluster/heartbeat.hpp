@@ -8,8 +8,8 @@
 //   kDead --(one clean beat)--> kProbation, ++incarnation (rejoin: the
 //       node's old leases stay fenced — its epoch died with it)
 //   kProbation --(probation_clean_beats clean beats)--> kAlive
-//   kProbation --(any miss)--> kSuspect (required clean window grows by
-//       probation_backoff, capped — a flapping node earns trust slowly)
+//   kProbation --(any miss)--> kSuspect (required clean window doubles,
+//       capped at 32 beats — a flapping node earns trust slowly)
 //
 // Suspect nodes keep their outstanding leases (the lease deadline, not the
 // heartbeat, decides reassignment) but receive no NEW work; dead nodes are
@@ -27,8 +27,6 @@ struct HeartbeatOptions {
   int suspect_misses = 2;        ///< consecutive misses to suspect a node
   int dead_misses = 4;           ///< consecutive misses to declare it dead
   int probation_clean_beats = 2; ///< clean beats until fully re-admitted
-  double probation_backoff = 2.0;  ///< clean-window growth per relapse
-  int max_probation_beats = 32;    ///< backoff ceiling
 };
 
 enum class NodeLiveness { kAlive, kSuspect, kDead, kProbation };

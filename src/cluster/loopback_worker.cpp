@@ -203,13 +203,13 @@ void LoopbackWorker::execute_shard(const WorkShard& shard) {
       // only steer WHERE work runs, never what bits come out.
       c.enc.reset();  // free the stale encoder before building its successor
       c.enc = std::make_unique<SessionEncoder>(
-          shard.cfg, topo_, fwo, shard.source, shard.tier,
-          shard.perturbations, shard.device_faults);
+          shard.cfg, topo_, fwo, shard.source, shard.perturbations,
+          shard.device_faults);
       if (shard.resume.valid) {
         EncoderCheckpoint resume = shard.resume.enc;
         FrameworkCheckpoint& fw = resume.fw;
         if (fw.perf.num_devices() != topo_.num_devices()) {
-          fw.perf = PerfCharacterization(topo_.num_devices(), fwo.ewma_alpha);
+          fw.perf = PerfCharacterization(topo_.num_devices());
           fw.health = DeviceHealthMonitor(topo_.num_devices(), fwo.health);
           fw.rf_holder = std::max(0, topo_.cpu_index());
         }

@@ -51,7 +51,6 @@ struct WorkShard {
   PerturbationSchedule perturbations;
   FaultSchedule device_faults;  ///< device-level faults inside this node
   std::shared_ptr<VideoSource> source;  ///< real mode when non-null
-  SimdTier tier = SimdTier::kAuto;
   SessionCheckpoint resume;  ///< valid when frame_begin > 0
 };
 

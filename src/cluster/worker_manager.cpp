@@ -8,10 +8,21 @@
 
 namespace feves::cluster {
 
+namespace {
+
+// RPC deadlines: a heartbeat, and every other call (capabilities, submit,
+// cancel).
+constexpr double kHeartbeatDeadlineMs = 1.0;
+constexpr double kRpcDeadlineMs = 2.0;
+// Ticks an outstanding lease may age before it is fenced and reassigned
+// even though its node still heartbeats (executor wedged, not crashed).
+constexpr u64 kLeaseTicks = 2000;
+
+}  // namespace
+
 WorkerManager::WorkerManager(WorkerManagerOptions opts)
     : opts_(std::move(opts)) {
   FEVES_CHECK(opts_.tick_sleep_ms > 0.0);
-  FEVES_CHECK(opts_.lease_ticks >= 1);
   FEVES_CHECK(opts_.all_dead_grace_ticks >= 1);
   driver_ = std::thread([this] { run_driver(); });
 }
@@ -52,7 +63,7 @@ NodeId WorkerManager::register_worker(std::unique_ptr<WorkerProxy> worker) {
   for (int attempt = 0; attempt <= opts_.rpc_retries; ++attempt) {
     WorkerCapabilities caps;
     const RpcStatus st =
-        node.worker->capabilities(opts_.rpc_deadline_ms, &caps);
+        node.worker->capabilities(kRpcDeadlineMs, &caps);
     if (st == RpcStatus::kOk) {
       node.caps = std::move(caps);
       break;
@@ -155,8 +166,7 @@ void WorkerManager::tick() {
 void WorkerManager::beat_nodes() {
   for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
     Node& node = nodes_[static_cast<std::size_t>(i)];
-    const RpcStatus st =
-        node.worker->heartbeat(opts_.heartbeat_deadline_ms);
+    const RpcStatus st = node.worker->heartbeat(kHeartbeatDeadlineMs);
     ++tel_.heartbeats;
     if (st == RpcStatus::kOk) {
       if (monitor_->record_beat(i)) {
@@ -212,11 +222,10 @@ void WorkerManager::drain_inbox() {
 
     if (!r.ok) {
       ++s->consecutive_failures;
-      const int budget = opts_.max_shard_failures > 0
-                             ? opts_.max_shard_failures
-                             : 3 + static_cast<int>(nodes_.size());
       mark(s->id, "shard-failed");
-      if (s->consecutive_failures >= budget) {
+      // Consecutive worker-side throws a session survives: three, plus one
+      // per registered node.
+      if (s->consecutive_failures >= 3 + static_cast<int>(nodes_.size())) {
         finish_locked(s, TerminalReason::kRestartsExhausted,
                       r.error.empty() ? "shard failure budget exhausted"
                                       : r.error);
@@ -253,17 +262,14 @@ void WorkerManager::expire_leases() {
   for (auto& sp : sessions_) {
     SessionState* s = sp.get();
     if (s->done || !s->outstanding) continue;
-    if (tick_count_ - s->lease_tick <=
-        static_cast<u64>(opts_.lease_ticks)) {
-      continue;
-    }
+    if (tick_count_ - s->lease_tick <= kLeaseTicks) continue;
     const int node = s->lease_node;
     const u64 lease = s->lease_id;
     ++tel_.lease_expiries;
     fence_session_locked(s, "lease-expired");
     // Best-effort cancel; a completion that slips through is fenced anyway.
     nodes_[static_cast<std::size_t>(node)].worker->cancel(
-        lease, opts_.rpc_deadline_ms);
+        lease, kRpcDeadlineMs);
   }
 }
 
@@ -390,10 +396,9 @@ void WorkerManager::dispatch_pending() {
       shard.perturbations = s->cfg.perturbations;
       shard.device_faults = s->cfg.device_faults;
       shard.source = s->cfg.source;
-      shard.tier = s->cfg.tier;
       shard.resume = s->checkpoint;
 
-      const RpcStatus st = node.worker->submit(shard, opts_.rpc_deadline_ms);
+      const RpcStatus st = node.worker->submit(shard, kRpcDeadlineMs);
       if (st == RpcStatus::kOk) {
         acked = true;
         s->lease_id = shard.lease_id;

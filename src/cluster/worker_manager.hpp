@@ -42,7 +42,6 @@ struct ClusterSessionConfig {
   PerturbationSchedule perturbations;
   FaultSchedule device_faults;
   std::shared_ptr<VideoSource> source;
-  SimdTier tier = SimdTier::kAuto;
   /// Frames per lease: the reassignment quantum. Smaller = less work lost
   /// per node death, more dispatch overhead.
   int chunk_frames = 2;
@@ -60,23 +59,13 @@ struct ClusterSessionResult {
 
 struct WorkerManagerOptions {
   HeartbeatOptions heartbeat;
-  double heartbeat_deadline_ms = 1.0;
-  double rpc_deadline_ms = 2.0;
   /// Extra submit attempts after the first (each with a fresh epoch/lease).
   int rpc_retries = 2;
   double tick_sleep_ms = 0.2;
-  /// Ticks an outstanding lease may age before it is fenced and reassigned
-  /// even though its node still heartbeats (executor wedged, not crashed).
-  int lease_ticks = 2000;
-  int capability_poll_ticks = 64;
   /// Consecutive ticks with zero dispatchable nodes (and work pending)
   /// before sessions fail with kNoLiveWorker instead of waiting forever.
   int all_dead_grace_ticks = 500;
   ResilienceOptions backoff;  ///< only the backoff_* fields are used
-  /// Consecutive failed shard attempts (worker-side throws) before a
-  /// session gives up with kRestartsExhausted; <= 0 picks a default of
-  /// 3 + number of registered workers.
-  int max_shard_failures = 0;
   obs::TraceSession* trace = nullptr;  ///< cluster-lane marks when set
 };
 

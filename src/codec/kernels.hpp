@@ -45,8 +45,8 @@ SimdTier resolve_tier(KernelId id, SimdTier requested);
 /// Best tier kernel `id` can run on this machine (== resolve of kAuto).
 SimdTier max_tier(KernelId id);
 
-/// One row of the per-kernel tier report surfaced into SchedTelemetry and
-/// the trace: what the caller asked for and what the registry resolved.
+/// One row of the per-kernel tier report (real mode marks it in the
+/// trace): what the caller asked for and what the registry resolved.
 struct KernelTierChoice {
   KernelId id;
   SimdTier requested;

@@ -18,11 +18,6 @@ struct Mv {
   friend bool operator==(const Mv&, const Mv&) = default;
 };
 
-/// Squared... no: L1 length used for MV-rate estimation (|x| + |y|).
-inline int mv_l1(const Mv& mv) {
-  return (mv.x < 0 ? -mv.x : mv.x) + (mv.y < 0 ? -mv.y : mv.y);
-}
-
 /// Cost sentinel meaning "no candidate evaluated yet".
 inline constexpr u32 kInvalidCost = std::numeric_limits<u32>::max();
 

@@ -10,20 +10,13 @@ namespace feves {
 CollaborativeEncoder::CollaborativeEncoder(const EncoderConfig& cfg,
                                            const PlatformTopology& topo,
                                            FrameworkOptions opts,
-                                           SimdTier tier, FaultSchedule faults)
+                                           FaultSchedule faults)
     : FrameLoop(cfg, topo, opts, std::move(faults), /*next_frame=*/0,
                 HostModel::kShared),
-      tier_(tier),
       refs_(cfg.num_ref_frames),
       mirrors_(static_cast<std::size_t>(topo.num_devices())),
       mirror_stale_(static_cast<std::size_t>(topo.num_devices()), false),
-      staged_(static_cast<std::size_t>(topo.num_devices())) {
-  // Tiers are fixed for the encoder's life, so the per-kernel report is too.
-  for (const KernelTierChoice& k : kernel_tier_report(tier_)) {
-    kernel_tiers_.push_back(
-        {kernel_name(k.id), tier_name(k.requested), tier_name(k.resolved)});
-  }
-}
+      staged_(static_cast<std::size_t>(topo.num_devices())) {}
 
 EncoderCheckpoint CollaborativeEncoder::checkpoint() const {
   EncoderCheckpoint cp;
@@ -79,7 +72,7 @@ FrameStats CollaborativeEncoder::encode_frame(const Frame420& cur,
     // Bootstrap I frame: host-only (paper Fig 1's intra path; the inter
     // loop under study starts at frame 1).
     Timer t;
-    intra_frame(job_, tier_);
+    intra_frame(job_);
     stats.frame_number = next_frame_;
     stats.total_ms = t.elapsed_ms();
     stats.active_refs = 0;
@@ -141,7 +134,7 @@ ExecutionResult CollaborativeEncoder::execute(int /*frame*/,
                                               const ScheduleDecision& sd,
                                               const ExecuteOptions& exec,
                                               FrameOpIds* ids) {
-  RealBackend backend(job_, mirrors_, topo_, tier_, sd.dist.sme);
+  RealBackend backend(job_, mirrors_, topo_, sd.dist.sme);
   const OpGraph graph =
       build_frame_graph(topo_, sd.dist, sd.plans, backend, ids);
   return execute_real(graph, topo_, exec);
@@ -167,16 +160,16 @@ void CollaborativeEncoder::attempt_failed() {
   dam_.reset();
 }
 
-void CollaborativeEncoder::attempt_succeeded(int frame, FrameStats* stats) {
-  // Surface the per-kernel SIMD tier the frame's pixel kernels ran at
-  // (requested vs. registry-resolved) — and mark it in the trace once per
-  // session, so a capture is self-describing about the ISA level.
-  stats->telemetry.kernel_tiers = kernel_tiers_;
+void CollaborativeEncoder::attempt_succeeded(int frame) {
+  // Mark the SIMD tier each pixel kernel resolves to on this machine in
+  // the trace once per session, so a capture is self-describing about the
+  // ISA level.
   if (opts_.trace != nullptr && !tiers_traced_) {
     tiers_traced_ = true;
-    for (const obs::KernelTierInfo& k : kernel_tiers_) {
+    for (const KernelTierChoice& k : kernel_tier_report(SimdTier::kAuto)) {
       char label[obs::TraceEvent::kNameCapacity + 1];
-      std::snprintf(label, sizeof label, "k:%s=%s", k.kernel, k.resolved);
+      std::snprintf(label, sizeof label, "k:%s=%s", kernel_name(k.id),
+                    tier_name(k.resolved));
       opts_.trace->add_host_event(frame, label, obs::EventKind::kMark, 0.0);
     }
   }

@@ -35,9 +35,7 @@ struct EncoderCheckpoint {
 class CollaborativeEncoder final : public FrameLoop {
  public:
   CollaborativeEncoder(const EncoderConfig& cfg, const PlatformTopology& topo,
-                       FrameworkOptions opts = {},
-                       SimdTier tier = SimdTier::kAuto,
-                       FaultSchedule faults = {});
+                       FrameworkOptions opts = {}, FaultSchedule faults = {});
 
   /// Snapshots the encoder at the current frame boundary (between
   /// encode_frame calls). The caller records its own bitstream offset — the
@@ -90,9 +88,8 @@ class CollaborativeEncoder final : public FrameLoop {
                           FrameOpIds* ids) override;
   void shadow(const std::vector<bool>& run, int next_refs) override;
   void attempt_failed() override;
-  void attempt_succeeded(int frame, FrameStats* stats) override;
+  void attempt_succeeded(int frame) override;
 
-  SimdTier tier_;
   RefList refs_;
   /// Per-frame working state, persistent so its vectors (motion fields,
   /// choices, coded levels, deblock info) keep their capacity across
@@ -107,8 +104,6 @@ class CollaborativeEncoder final : public FrameLoop {
   std::vector<bool> mirror_stale_;
   /// Per-device prestaged mirror buffers (the pipeline's double buffer).
   std::vector<MirrorStage> staged_;
-  /// Requested -> resolved kernel tiers, copied into each frame's telemetry.
-  std::vector<obs::KernelTierInfo> kernel_tiers_;
   /// Kernel-tier marks are emitted into the trace once per session.
   bool tiers_traced_ = false;
 };

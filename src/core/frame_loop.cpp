@@ -9,6 +9,11 @@ namespace feves {
 
 namespace {
 
+// Failed execution attempts tolerated per frame before giving up. Each
+// attempt quarantines at least the faulty device's failure streak, so a
+// handful suffices even for simultaneous multi-device faults.
+constexpr int kMaxFrameRetries = 8;
+
 // The devices Algorithm 2 can balance over on `active`: all of them once
 // every one is characterized; before that, the characterized subset once
 // it holds at least min(active devices, MB rows) of them. The second case
@@ -242,7 +247,7 @@ FrameLoop::FrameLoop(const EncoderConfig& cfg, const PlatformTopology& topo,
       faults_(std::move(faults)),
       balancer_(cfg, topo, opts.lb, host),
       dam_(cfg, topo, opts.enable_data_reuse),
-      perf_(topo.num_devices(), opts.ewma_alpha),
+      perf_(topo.num_devices()),
       health_(topo.num_devices(), opts.health),
       next_frame_(next_frame) {
   cfg_.validate();
@@ -283,7 +288,6 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
   ExecuteOptions exec_opts;
   exec_opts.faults = faults_.plan(frame, topo_.num_devices());
   exec_opts.watchdog_ms = opts_.watchdog_ms;
-  exec_opts.hang_sleep_ms = opts_.hang_sleep_ms;
   exec_opts.lease = grant.lease;
   obs::TraceSession* trace = opts_.trace;
   exec_opts.trace = trace;
@@ -295,9 +299,9 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
   // guaranteed because every failed attempt advances at least one device
   // toward quarantine (the fault plan is deterministic per frame).
   for (int attempt = 0;; ++attempt) {
-    FEVES_CHECK_MSG(attempt <= opts_.max_frame_retries,
+    FEVES_CHECK_MSG(attempt <= kMaxFrameRetries,
                     "frame " << frame << ": no clean attempt within "
-                             << opts_.max_frame_retries << " retries");
+                             << kMaxFrameRetries << " retries");
     FEVES_CHECK_MSG(health_.num_schedulable() > 0,
                     "frame " << frame << ": every device is quarantined");
     const std::vector<bool> active = granted_active_mask(health_, grant, frame);
@@ -436,7 +440,7 @@ FrameStats FrameLoop::run_frame(int active_refs, const FrameGrant& grant) {
     // Telemetry snapshots the K parameters the scheduler consumed, so it
     // must fill before this frame's measurements fold in.
     fill_device_telemetry(topo_, dist, ids, result, perf_, &stats.telemetry);
-    attempt_succeeded(frame, &stats);
+    attempt_succeeded(frame);
     stats.telemetry.predicted_tau1_ms = dist.tau1_ms;
     stats.telemetry.predicted_tau2_ms = dist.tau2_ms;
     stats.telemetry.predicted_tau_tot_ms = dist.tau_tot_ms;

@@ -56,11 +56,6 @@ enum class SchedulingPolicy {
 
 struct FrameworkOptions {
   SchedulingPolicy policy = SchedulingPolicy::kAdaptiveLp;
-  /// Weight of the newest measurement when updating the characterization.
-  /// 1.0 = the paper's Algorithm 1 (each frame's recorded times directly
-  /// parameterize the next LP — "a single inter-frame to converge");
-  /// lower values EWMA-smooth noisy non-dedicated systems.
-  double ewma_alpha = 1.0;
   LoadBalancerOptions lb;
   /// Shared-buffer reuse in Data Access Management (ablation knob; the
   /// paper's communication-minimization mechanism, Sec. III-B2).
@@ -75,12 +70,6 @@ struct FrameworkOptions {
   /// Per-op watchdog deadline handed to the executors (0 = disabled).
   /// Required (> 0) when the fault schedule injects hangs.
   double watchdog_ms = 0.0;
-  /// Real mode: how long an injected hang sleeps (must exceed watchdog_ms).
-  double hang_sleep_ms = 20.0;
-  /// Failed execution attempts tolerated per frame before giving up. Each
-  /// attempt quarantines at least the faulty device's failure streak, so a
-  /// handful suffices even for simultaneous multi-device faults.
-  int max_frame_retries = 8;
   /// Observability: when non-null, the host-side scheduling phases and,
   /// after each execution joins, every op the executor ran are added to
   /// this session's sink frame by frame (Chrome trace export). The session
@@ -219,8 +208,8 @@ class FrameLoop {
   virtual void shadow(const std::vector<bool>& /*run*/, int /*next_refs*/) {}
   /// After a failed attempt, once its faulty devices are recorded.
   virtual void attempt_failed() {}
-  /// After the successful attempt's telemetry is filled.
-  virtual void attempt_succeeded(int /*frame*/, FrameStats* /*stats*/) {}
+  /// After the successful attempt, before its measurements fold in.
+  virtual void attempt_succeeded(int /*frame*/) {}
 
   EncoderConfig cfg_;
   PlatformTopology topo_;

@@ -186,12 +186,11 @@ void restage_mirror(DeviceMirror& mirror, const EncoderConfig& cfg,
 }
 
 RealBackend::RealBackend(EncodeJob& job, std::vector<DeviceMirror>& mirrors,
-                         const PlatformTopology& topo, SimdTier tier,
+                         const PlatformTopology& topo,
                          std::vector<int> sme_dist)
     : job_(job),
       mirrors_(mirrors),
       topo_(topo),
-      tier_(tier),
       sme_dist_(std::move(sme_dist)),
       pool_(device_pool()) {
   FEVES_CHECK(static_cast<int>(mirrors.size()) == topo.num_devices());
@@ -209,7 +208,7 @@ OpPayload RealBackend::op_me(int device, RowInterval rows) {
   if (!is_accel(device)) {
     return {0.0, 0.0, [this, rows] {
               pool_.parallel_for(rows.begin, rows.end, [this](int y) {
-                me_rows(job_, y, y + 1, tier_);
+                me_rows(job_, y, y + 1);
               });
             }};
   }
@@ -217,7 +216,6 @@ OpPayload RealBackend::op_me(int device, RowInterval rows) {
             DeviceMirror& m = mirrors_[device];
             MeParams params;
             params.search_range = job_.cfg->search_range;
-            params.tier = tier_;
             pool_.parallel_for(rows.begin, rows.end, [&](int y) {
               for (std::size_t r = 0; r < job_.refs.size(); ++r) {
                 run_me_rows(m.cf_y, m.refs[r]->recon_y, job_.cfg->mb_width(),
@@ -231,7 +229,7 @@ OpPayload RealBackend::op_int(int device, RowInterval rows) {
   if (!is_accel(device)) {
     return {0.0, 0.0, [this, rows] {
               pool_.parallel_for(rows.begin, rows.end, [this](int y) {
-                int_rows(job_, y, y + 1, tier_);
+                int_rows(job_, y, y + 1);
               });
             }};
   }
@@ -239,7 +237,7 @@ OpPayload RealBackend::op_int(int device, RowInterval rows) {
             DeviceMirror& m = mirrors_[device];
             pool_.parallel_for(rows.begin, rows.end, [&](int y) {
               run_interpolation_rows(m.refs[0]->recon_y, y, y + 1,
-                                     m.refs[0]->sf, tier_);
+                                     m.refs[0]->sf);
               // Local slices must carry valid horizontal borders for SME's
               // out-of-frame motion vectors; the canonical SF takes them
               // along (see finish_interpolation).
@@ -267,7 +265,7 @@ OpPayload RealBackend::op_sme(int device, RowInterval rows) {
     return {0.0, 0.0, [this, rows] {
               ensure_sf_assembled();
               pool_.parallel_for(rows.begin, rows.end, [this](int y) {
-                sme_rows(job_, y, y + 1, tier_);
+                sme_rows(job_, y, y + 1);
               });
             }};
   }
@@ -275,7 +273,6 @@ OpPayload RealBackend::op_sme(int device, RowInterval rows) {
             DeviceMirror& m = mirrors_[device];
             SmeParams params;
             params.refine_range = job_.cfg->subpel_refine_range;
-            params.tier = tier_;
             // SF completion (σ) and MC prefetch stream on the copy lane
             // concurrently with this kernel, writing payload rows outside
             // the staged SME halo — so only extend a vertical border this
@@ -319,10 +316,10 @@ OpPayload RealBackend::op_rstar(int device) {
             // rows, each entropy coded as soon as its levels exist, then
             // the deblocking wavefront.
             pool_.parallel_for(0, job_.cfg->mb_height(), [this](int y) {
-              rstar_rows(job_, y, y + 1, tier_);
+              rstar_rows(job_, y, y + 1);
               entropy_rows(job_, y, y + 1);
             });
-            finish_reconstruction(job_, tier_, &pool_);
+            finish_reconstruction(job_, SimdTier::kAuto, &pool_);
           }};
 }
 

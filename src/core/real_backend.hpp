@@ -56,8 +56,7 @@ class RealBackend final : public FrameBackend {
   /// R*-hosting accelerator's locally refined MVs into the canonical
   /// fields before R* runs).
   RealBackend(EncodeJob& job, std::vector<DeviceMirror>& mirrors,
-              const PlatformTopology& topo, SimdTier tier,
-              std::vector<int> sme_dist);
+              const PlatformTopology& topo, std::vector<int> sme_dist);
 
   OpPayload op_me(int device, RowInterval rows) override;
   OpPayload op_int(int device, RowInterval rows) override;
@@ -78,7 +77,6 @@ class RealBackend final : public FrameBackend {
   EncodeJob& job_;
   std::vector<DeviceMirror>& mirrors_;
   const PlatformTopology& topo_;
-  SimdTier tier_;
   std::vector<int> sme_dist_;
   ThreadPool& pool_;  ///< every device's cores (device_pool())
   std::mutex assemble_mutex_;

@@ -87,16 +87,6 @@ struct NodeTelemetry {
   int nodes_rejoined = 0;    ///< dead nodes re-admitted (new incarnation)
 };
 
-/// Resolved kernel tier of one kernel family: what the session requested
-/// and what the codec's kernel registry resolved it to on this machine
-/// (CPUID + per-kernel ceiling). Names point at the registry's static
-/// strings, so the struct stays trivially copyable.
-struct KernelTierInfo {
-  const char* kernel = "";
-  const char* requested = "";
-  const char* resolved = "";
-};
-
 /// Everything measured about one frame's scheduling decision.
 struct SchedTelemetry {
   // LP solver effort (summed over the ∆ fix-point and any retry attempts).
@@ -126,9 +116,6 @@ struct SchedTelemetry {
     return total > 0.0 ? sched_overlapped_ms / total : 0.0;
   }
 
-  /// Solves the scheduler actually paid for at full price.
-  int lp_cold_solves() const { return lp_solves - lp_warm_solves; }
-
   // The LP's synchronization-point predictions (0 under non-LP policies)
   // against the successful attempt's measurements.
   double predicted_tau1_ms = 0.0, measured_tau1_ms = 0.0;
@@ -136,10 +123,6 @@ struct SchedTelemetry {
   double predicted_tau_tot_ms = 0.0, measured_tau_tot_ms = 0.0;
 
   std::vector<DeviceTelemetry> dev;  ///< per-device module breakdown
-
-  /// Per-kernel SIMD tier the frame's host-side kernels ran at (real mode;
-  /// empty in the virtual framework, which executes no pixel kernels).
-  std::vector<KernelTierInfo> kernel_tiers;
 
   /// Relative τtot misprediction — the headline number feeding FrameStats.
   double misprediction() const {

@@ -16,6 +16,10 @@ namespace feves {
 
 namespace {
 
+/// Real mode: an injected hang holds its lane this many watchdog deadlines
+/// before the executor declares it timed out.
+constexpr double kHangOvershoot = 1.25;
+
 /// Maps (device, resource) to a serial execution lane. Single-copy-engine
 /// devices fold H2D and D2H into one lane (the hardware has one DMA unit);
 /// dual-copy devices get independent lanes per direction.
@@ -47,8 +51,6 @@ std::vector<std::vector<int>> build_lanes(const OpGraph& graph,
   return lanes;
 }
 
-/// Hangs are only meaningful with a watchdog to end them; fail loudly when
-/// a schedule injects one into an executor that could never detect it.
 /// Lease guard shared by both executors: the whole graph is vetted before
 /// anything runs, so a grant violation can never leave a frame half-executed.
 void validate_lease(const OpGraph& graph, const ExecuteOptions& opts) {
@@ -61,16 +63,14 @@ void validate_lease(const OpGraph& graph, const ExecuteOptions& opts) {
   }
 }
 
-void validate_fault_options(const ExecuteOptions& opts, bool real_mode) {
+/// Hangs are only meaningful with a watchdog to end them; fail loudly when
+/// a schedule injects one into an executor that could never detect it.
+void validate_fault_options(const ExecuteOptions& opts) {
   bool any_hang = false;
   for (const auto& d : opts.faults.dev) any_hang |= d.hang;
   if (!any_hang) return;
   FEVES_CHECK_MSG(opts.watchdog_ms > 0.0,
                   "hang fault injected but the watchdog is disabled");
-  if (real_mode) {
-    FEVES_CHECK_MSG(opts.hang_sleep_ms > opts.watchdog_ms,
-                    "injected hang must sleep past the watchdog deadline");
-  }
 }
 
 /// Builds the ordered failure list from per-op terminal states.
@@ -226,8 +226,8 @@ class RealRun {
         // The hung op holds its lane past the watchdog deadline, then the
         // executor declares it dead; its (never produced) outputs stay
         // unusable, so dependents are cancelled.
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(opts_.hang_sleep_ms));
+        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+            kHangOvershoot * opts_.watchdog_ms));
         status = OpStatus::kTimedOut;
         message = "injected hang exceeded watchdog deadline";
       } else if (op.work) {
@@ -361,7 +361,7 @@ ExecutionResult execute_virtual(const OpGraph& graph,
                                 const PlatformTopology& topo,
                                 const ExecuteOptions& opts) {
   topo.validate();
-  validate_fault_options(opts, /*real_mode=*/false);
+  validate_fault_options(opts);
   validate_lease(graph, opts);
   ExecutionResult result;
   result.times.assign(graph.size(), OpTimes{});
@@ -442,7 +442,7 @@ ExecutionResult execute_real(const OpGraph& graph,
                              const PlatformTopology& topo,
                              const ExecuteOptions& opts) {
   topo.validate();
-  validate_fault_options(opts, /*real_mode=*/true);
+  validate_fault_options(opts);
   validate_lease(graph, opts);
   ExecutionResult result;
   result.times.assign(graph.size(), OpTimes{});

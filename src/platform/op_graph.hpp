@@ -154,11 +154,9 @@ struct ExecuteOptions {
   /// the check is post-hoc — an op whose wall time exceeds the deadline is
   /// marked kTimedOut and its results are treated as unusable (dependents
   /// cancelled), matching a system that already moved on when the op
-  /// finally returned. Injecting kHang requires watchdog_ms > 0.
+  /// finally returned. Injecting kHang requires watchdog_ms > 0; in real
+  /// mode the hung op sleeps 1.25 x watchdog_ms, past the deadline.
   double watchdog_ms = 0.0;
-  /// Real mode: how long an injected hang sleeps before the executor
-  /// declares it timed out. Must exceed watchdog_ms.
-  double hang_sleep_ms = 20.0;
   /// When non-null and enabled, the executor adds one TraceEvent per op to
   /// this session after its lanes joined, built from the graph and the
   /// ExecutionResult on the calling thread (see obs/trace.hpp). Null — the

@@ -173,7 +173,6 @@ class LoadBalancer {
                           const std::vector<bool>* active = nullptr) const;
 
   const PlatformTopology& topology() const { return topo_; }
-  HostModel host_model() const { return host_; }
 
  private:
   bool device_active(const std::vector<bool>* active, int i) const {

@@ -11,13 +11,13 @@ void PerfCharacterization::observe_compute(int device, ComputeModule module,
   DeviceParams& p = params_[device];
   switch (module) {
     case ComputeModule::kMe:
-      fold(&p.k_me, per_row);
+      p.k_me = per_row;
       break;
     case ComputeModule::kInt:
-      fold(&p.k_int, per_row);
+      p.k_int = per_row;
       break;
     case ComputeModule::kSme:
-      fold(&p.k_sme, per_row);
+      p.k_sme = per_row;
       break;
   }
 }
@@ -28,14 +28,14 @@ void PerfCharacterization::observe_transfer(int device, BufferKind buffer,
   FEVES_CHECK(device >= 0 && device < num_devices());
   if (rows <= 0) return;
   FEVES_CHECK(ms >= 0.0);
-  DeviceParams& p = params_[device];
-  fold(&p.k_xfer[static_cast<int>(buffer)][static_cast<int>(dir)], ms / rows);
+  params_[device].k_xfer[static_cast<int>(buffer)][static_cast<int>(dir)] =
+      ms / rows;
 }
 
 void PerfCharacterization::observe_rstar(int device, double ms) {
   FEVES_CHECK(device >= 0 && device < num_devices());
   FEVES_CHECK(ms >= 0.0);
-  fold(&params_[device].t_rstar_ms, ms);
+  params_[device].t_rstar_ms = ms;
 }
 
 }  // namespace feves

@@ -5,8 +5,10 @@
 //   K^m, K^l, K^s            — ME / INT / SME compute speed
 //   K^{cf,rf,sf,mv x hd,dh}  — per-buffer transfer speed per direction
 //   T^{R*}                   — whole-frame R* time
-// An exponentially weighted moving average tracks drifting platform state
-// (the paper stresses non-dedicated systems whose performance fluctuates).
+// Each measurement replaces the one before it: as in Algorithm 1, the times
+// recorded on frame n parameterize frame n+1's LP, so a drifting device
+// (the paper stresses non-dedicated systems) is re-characterized within a
+// single inter-frame.
 #pragma once
 
 #include "common/check.hpp"
@@ -58,11 +60,9 @@ inline double relative_drift(const DeviceParams& a, const DeviceParams& b) {
 
 class PerfCharacterization {
  public:
-  /// `alpha` is the EWMA weight of the newest observation.
-  explicit PerfCharacterization(int num_devices, double alpha = 0.5)
-      : alpha_(alpha), params_(static_cast<std::size_t>(num_devices)) {
+  explicit PerfCharacterization(int num_devices)
+      : params_(static_cast<std::size_t>(num_devices)) {
     FEVES_CHECK(num_devices >= 1);
-    FEVES_CHECK(alpha > 0.0 && alpha <= 1.0);
   }
 
   int num_devices() const { return static_cast<int>(params_.size()); }
@@ -121,11 +121,6 @@ class PerfCharacterization {
   }
 
  private:
-  void fold(double* slot, double value) {
-    *slot = (*slot == 0.0) ? value : alpha_ * value + (1.0 - alpha_) * *slot;
-  }
-
-  double alpha_;
   std::vector<DeviceParams> params_;
 };
 

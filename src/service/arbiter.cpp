@@ -199,8 +199,10 @@ std::optional<PoolArbiter::Grant> PoolArbiter::acquire(
   int share = fair_share_locked(s);
   if (max_devices > 0) share = std::min(share, max_devices);
 
-  // Candidate devices: free ∩ usable, affinity devices first, then by
-  // least virtual backlog (a device another session just loaded up is a
+  // Candidate devices: free ∩ usable, affinity devices first — the ones
+  // the session held last frame, which keeps device mirrors warm (real
+  // mode) and characterizations valid (fewer probe / re-init frames) — then
+  // by least virtual backlog (a device another session just loaded up is a
   // worse pick than an idle one), index as the deterministic tie-break.
   std::vector<int> candidates;
   for (int i = 0; i < num_devices(); ++i) {
@@ -209,11 +211,9 @@ std::optional<PoolArbiter::Grant> PoolArbiter::acquire(
     }
   }
   std::stable_sort(candidates.begin(), candidates.end(), [&](int a, int b) {
-    if (opts_.prefer_affinity) {
-      const bool aff_a = s.last_mask[static_cast<std::size_t>(a)];
-      const bool aff_b = s.last_mask[static_cast<std::size_t>(b)];
-      if (aff_a != aff_b) return aff_a;
-    }
+    const bool aff_a = s.last_mask[static_cast<std::size_t>(a)];
+    const bool aff_b = s.last_mask[static_cast<std::size_t>(b)];
+    if (aff_a != aff_b) return aff_a;
     const double fa = dev_free_ms_[static_cast<std::size_t>(a)];
     const double fb = dev_free_ms_[static_cast<std::size_t>(b)];
     if (fa != fb) return fa < fb;

@@ -40,10 +40,6 @@ struct ArbiterOptions {
   /// queueing, the legacy behaviour). Queued sessions park in acquire()
   /// without a share until promoted, or are shed under queue pressure.
   int admission_queue = 0;
-  /// Prefer re-granting the devices a session held last frame. Keeps device
-  /// mirrors warm (real mode) and characterizations valid (fewer probe /
-  /// re-init frames) at the cost of slower rebalancing after churn.
-  bool prefer_affinity = true;
 };
 
 /// How an acquire() call ended when it did not produce a grant — the

@@ -253,8 +253,7 @@ TerminalReason EncodeService::run_ladder(Session* s) {
     EncoderConfig cfg = sc.cfg;
     if (!real) cfg.search_range = gov.degraded_search_range(cfg.search_range);
     return std::make_unique<SessionEncoder>(cfg, topo_, sc.fw, sc.source,
-                                            sc.tier, sc.perturbations,
-                                            sc.faults);
+                                            sc.perturbations, sc.faults);
   };
 
   auto enc = make_enc();

@@ -62,7 +62,6 @@ struct SessionConfig {
   FaultSchedule faults;
   // Real-mode inputs:
   std::shared_ptr<VideoSource> source;
-  SimdTier tier = SimdTier::kAuto;
 };
 
 struct SessionResult {

@@ -21,7 +21,6 @@ SessionEncoder::SessionEncoder(const EncoderConfig& cfg,
                                const PlatformTopology& topo,
                                const FrameworkOptions& fw,
                                std::shared_ptr<VideoSource> source,
-                               SimdTier tier,
                                const PerturbationSchedule& perturbations,
                                const FaultSchedule& faults)
     : source_(std::move(source)) {
@@ -30,7 +29,7 @@ SessionEncoder::SessionEncoder(const EncoderConfig& cfg,
                                               faults);
   } else {
     frame_ = Frame420(cfg.width, cfg.height);
-    enc_ = std::make_unique<CollaborativeEncoder>(cfg, topo, fw, tier, faults);
+    enc_ = std::make_unique<CollaborativeEncoder>(cfg, topo, fw, faults);
   }
 }
 

@@ -1,8 +1,8 @@
 // Session-level resilience policy for the encode service: the pieces that
 // turn "any escaped exception is session death" into a budgeted recovery
-// ladder. Per-frame op retries live inside the frameworks
-// (FrameworkOptions::max_frame_retries) and whole-grant re-requests in the
-// session loop; this layer adds the two rungs above them —
+// ladder. Per-frame op retries live inside the frameworks (FrameLoop, a
+// fixed budget of 8 per frame) and whole-grant re-requests in the session
+// loop; this layer adds the two rungs above them —
 //
 //   op retry  →  grant re-request  →  checkpoint-restart  →  fail w/ reason
 //
@@ -194,7 +194,7 @@ class SessionEncoder {
  public:
   SessionEncoder(const EncoderConfig& cfg, const PlatformTopology& topo,
                  const FrameworkOptions& fw,
-                 std::shared_ptr<VideoSource> source, SimdTier tier,
+                 std::shared_ptr<VideoSource> source,
                  const PerturbationSchedule& perturbations,
                  const FaultSchedule& faults);
 

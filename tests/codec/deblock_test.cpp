@@ -9,9 +9,12 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -301,7 +304,30 @@ TEST(Deblock, WavefrontWaiterParksAndIsWoken) {
   };
   const detail::WavefrontSeam* previous = detail::set_wavefront_seam(&seam);
   Frame420 wave = src;
-  run_deblock_picture(wave, mbw, mbh, blocks.data(), luma, chroma, &pool);
+  // The wavefront runs on a helper thread so that a lost wake-up (a parked
+  // row nobody notifies) fails here, with the parked rows named, instead of
+  // hanging until ctest's timeout. The stalled row above waits at
+  // most 20 s for the park, so the bound leaves room for that failure too.
+  std::future<void> wavefront = std::async(std::launch::async, [&] {
+    run_deblock_picture(wave, mbw, mbh, blocks.data(), luma, chroma, &pool);
+  });
+  if (wavefront.wait_for(std::chrono::seconds(40)) !=
+      std::future_status::ready) {
+    std::string rows;
+    {
+      std::lock_guard lock(mu);
+      for (int r : parked_rows) rows += " " + std::to_string(r);
+    }
+    std::fprintf(stderr,
+                 "Deblock.WavefrontWaiterParksAndIsWoken: FAILED: the "
+                 "wavefront is still running after 40 s (a lost wake-up); "
+                 "rows that parked:%s\n",
+                 rows.c_str());
+    std::fflush(stderr);
+    // The parked thread can never be joined: end the binary, failing.
+    std::_Exit(EXIT_FAILURE);
+  }
+  wavefront.get();
   detail::set_wavefront_seam(previous);
 
   EXPECT_TRUE(released_by_park) << "row 1 never parked behind stalled row 0";

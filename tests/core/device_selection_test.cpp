@@ -150,7 +150,7 @@ TEST(DeviceSelectionReal, LosingTheRunningCpuMovesTheFrameToOneAccelerator) {
   std::vector<u8> ref_bits;
   const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
 
-  CollaborativeEncoder enc(cfg, topo, {}, SimdTier::kAuto, faults);
+  CollaborativeEncoder enc(cfg, topo, {}, faults);
   std::vector<u8> bits;
   std::vector<FrameStats> stats;
   for (std::size_t f = 0; f < frames.size(); ++f) {

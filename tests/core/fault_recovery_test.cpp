@@ -98,8 +98,7 @@ TEST(FaultRecoveryReal, PermanentDeviceLossStaysBitExact) {
   std::vector<u8> ref_bits;
   const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
 
-  CollaborativeEncoder enc(cfg, test_topo(2), all_devices_run(),
-                           SimdTier::kAuto, faults);
+  CollaborativeEncoder enc(cfg, test_topo(2), all_devices_run(), faults);
   std::vector<u8> bits;
   std::vector<FrameStats> stats;
   for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -134,8 +133,7 @@ TEST(FaultRecoveryReal, TransientTransferFaultRecoversAndReadmits) {
   std::vector<u8> ref_bits;
   const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
 
-  CollaborativeEncoder enc(cfg, test_topo(2), all_devices_run(),
-                           SimdTier::kAuto, faults);
+  CollaborativeEncoder enc(cfg, test_topo(2), all_devices_run(), faults);
   std::vector<u8> bits;
   std::vector<FrameStats> stats;
   for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -170,13 +168,12 @@ TEST(FaultRecoveryReal, HangIsFencedByWatchdogAndStaysBitExact) {
   // Generous deadline: every clean op on this tiny config finishes orders
   // of magnitude faster, even under sanitizers.
   opts.watchdog_ms = 2000.0;
-  opts.hang_sleep_ms = 2500.0;
   opts.health.failure_threshold = 1;  // one timed-out attempt is enough
 
   std::vector<u8> ref_bits;
   const auto ref_recons = reference_encode(cfg, frames, &ref_bits);
 
-  CollaborativeEncoder enc(cfg, test_topo(2), opts, SimdTier::kAuto, faults);
+  CollaborativeEncoder enc(cfg, test_topo(2), opts, faults);
   std::vector<u8> bits;
   std::vector<FrameStats> stats;
   for (std::size_t f = 0; f < frames.size(); ++f) {

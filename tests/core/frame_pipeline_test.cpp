@@ -60,8 +60,7 @@ struct EncodeRun {
 EncodeRun run_real(const EncoderConfig& cfg, const PlatformTopology& topo,
                    const std::vector<Frame420>& frames, FrameworkOptions opts,
                    FaultSchedule faults = {}) {
-  CollaborativeEncoder enc(cfg, topo, opts, SimdTier::kAuto,
-                           std::move(faults));
+  CollaborativeEncoder enc(cfg, topo, opts, std::move(faults));
   EncodeRun run;
   for (const Frame420& f : frames) {
     const FrameStats s = enc.encode_frame(f, &run.bits);

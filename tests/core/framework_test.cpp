@@ -183,7 +183,7 @@ TEST(AttributeFrameTimes, NonOkOpsDoNotPoisonTheCharacterization) {
   const OpGraph graph = build_frame_graph(topo, dist, plans, backend, &ids);
 
   // A clean execution seeds the characterization.
-  PerfCharacterization perf(n, /*alpha=*/1.0);
+  PerfCharacterization perf(n);
   const ExecutionResult clean = execute_virtual(graph, topo, ExecuteOptions{});
   ASSERT_TRUE(clean.ok());
   attribute_frame_times(cfg, topo, dist, ids, clean, &perf);

@@ -155,7 +155,7 @@ void drive_mirrors(const PlatformTopology& topo, std::uint64_t seed) {
       ASSERT_LE(attempt, 1);
       std::vector<TransferPlan> plans =
           dam.plan_frame(dist, rf_holder, active_refs);
-      RealBackend backend(job, mirrors, topo, SimdTier::kAuto, dist.sme);
+      RealBackend backend(job, mirrors, topo, dist.sme);
       FrameOpIds ids;
       const OpGraph graph = build_frame_graph(topo, dist, plans, backend, &ids);
       ExecuteOptions opts;

@@ -6,6 +6,7 @@
 // timeline in order).
 #include "obs/trace.hpp"
 
+#include "codec/kernels.hpp"
 #include "core/collaborative_encoder.hpp"
 #include "core/framework.hpp"
 #include "obs/telemetry.hpp"
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -469,7 +471,7 @@ TEST(TraceRoundTrip, FaultedRealEncodeExportsConsistentChromeTrace) {
   obs::TraceSession session;
   FrameworkOptions opts;
   opts.trace = &session;
-  CollaborativeEncoder enc(cfg, topo, opts, SimdTier::kAuto, faults);
+  CollaborativeEncoder enc(cfg, topo, opts, faults);
   // The bootstrap I frame runs on the host; inter-frames 1..3 follow.
   std::vector<FrameStats> stats;
   for (int f = 0; f < scene.frames; ++f) {
@@ -479,6 +481,18 @@ TEST(TraceRoundTrip, FaultedRealEncodeExportsConsistentChromeTrace) {
   EXPECT_GE(stats[1].retries, 1);
   check_round_trip(session, topo, /*frames=*/3, /*faulted_device=*/2,
                    "feves_real_roundtrip.trace.json");
+
+  // The session marks each kernel's resolved SIMD tier exactly once.
+  std::vector<std::string> marks;
+  for (const obs::TraceEvent& e : session.sink.events()) {
+    if (std::strncmp(e.name, "k:", 2) == 0) marks.emplace_back(e.name);
+  }
+  std::vector<std::string> expected;
+  for (const KernelTierChoice& k : kernel_tier_report(SimdTier::kAuto)) {
+    expected.push_back(std::string("k:") + kernel_name(k.id) + "=" +
+                       tier_name(k.resolved));
+  }
+  EXPECT_EQ(marks, expected);
 }
 
 TEST(TraceRoundTrip, DisabledSessionCollectsNothing) {

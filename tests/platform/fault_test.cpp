@@ -120,14 +120,12 @@ TEST(FaultSchedule, ActionMapping) {
 
 // ---- Executor failure semantics -------------------------------------------
 
-ExecuteOptions fault_on(int device, FaultKind kind, double watchdog_ms = 0.0,
-                        double hang_sleep_ms = 0.0) {
+ExecuteOptions fault_on(int device, FaultKind kind, double watchdog_ms = 0.0) {
   FaultSchedule s;
   s.add({device, 0, kFaultForever, kind});
   ExecuteOptions opts;
   opts.faults = s.plan(0, 3);
   opts.watchdog_ms = watchdog_ms;
-  if (hang_sleep_ms > 0.0) opts.hang_sleep_ms = hang_sleep_ms;
   return opts;
 }
 
@@ -212,11 +210,9 @@ TEST(ExecutorFaults, VirtualAndRealReportIdenticalStatuses) {
   for (FaultKind kind : kinds) {
     int indep = -1;
     const OpGraph g = diamond_graph(&indep);
-    // Hang semantics need a watchdog; real mode additionally needs the
-    // injected sleep to overshoot it. Generous margins keep this stable
-    // under sanitizers.
-    const auto opts = fault_on(1, kind, /*watchdog_ms=*/150.0,
-                               /*hang_sleep_ms=*/300.0);
+    // Hang semantics need a watchdog (real mode's injected sleep overshoots
+    // it). A generous deadline keeps this stable under sanitizers.
+    const auto opts = fault_on(1, kind, /*watchdog_ms=*/150.0);
     const auto rv = execute_virtual(g, topo, opts);
     const auto rr = execute_real(g, topo, opts);
     ASSERT_EQ(rv.status.size(), rr.status.size());
@@ -233,8 +229,7 @@ TEST(ExecutorFaults, HangTimesOutAtWatchdogAndCancelsDependents) {
   const auto topo = two_device_topo();
   int indep = -1;
   const OpGraph g = diamond_graph(&indep);
-  const auto opts = fault_on(1, FaultKind::kHang, /*watchdog_ms=*/10.0,
-                             /*hang_sleep_ms=*/30.0);
+  const auto opts = fault_on(1, FaultKind::kHang, /*watchdog_ms=*/10.0);
   const auto r = execute_virtual(g, topo, opts);
   EXPECT_EQ(r.status[0], OpStatus::kOk);        // the upload is fine
   EXPECT_EQ(r.status[1], OpStatus::kTimedOut);  // the kernel hangs

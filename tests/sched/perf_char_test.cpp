@@ -12,10 +12,12 @@ TEST(PerfChar, FirstObservationSetsDirectly) {
 }
 
 TEST(PerfChar, EwmaBlendsSubsequentObservations) {
-  PerfCharacterization perf(1, /*alpha=*/0.5);
+  // The moving average gives the newest observation weight 1 (Algorithm 1:
+  // frame n's times parameterize frame n+1), so it replaces the old one.
+  PerfCharacterization perf(1);
   perf.observe_compute(0, ComputeModule::kSme, 10, 10.0);  // 1.0 ms/row
   perf.observe_compute(0, ComputeModule::kSme, 10, 30.0);  // 3.0 ms/row
-  EXPECT_DOUBLE_EQ(perf.params(0).k_sme, 2.0);  // 0.5*3 + 0.5*1
+  EXPECT_DOUBLE_EQ(perf.params(0).k_sme, 3.0);
 }
 
 TEST(PerfChar, ZeroRowsKeepsOldEstimate) {
@@ -50,7 +52,7 @@ TEST(PerfChar, TransferDirectionsIndependent) {
 TEST(PerfChar, TracksDriftingDevice) {
   // The adaptation property behind Fig 7: a device that slows down must be
   // re-characterized within a few frames.
-  PerfCharacterization perf(1, 0.5);
+  PerfCharacterization perf(1);
   for (int f = 0; f < 5; ++f) perf.observe_compute(0, ComputeModule::kMe, 10, 10.0);
   EXPECT_NEAR(perf.params(0).k_me, 1.0, 1e-9);
   // Device suddenly 3x slower.

@@ -327,6 +327,31 @@ TEST(PoolArbiter, QuarantinedDevicesStayGrantableToOthers) {
   arb.retire(b);
 }
 
+TEST(PoolArbiter, ReleasedDevicesAreRegrantedAheadOfIdleOnes) {
+  // Session a runs a frame on devices {2, 3}, leaving them virtually busy
+  // for 10 ms while {0, 1} sit idle. Its next grant must still be {2, 3}:
+  // affinity outranks backlog, so mirrors stay warm and the
+  // characterization stays valid.
+  PoolArbiter arb(4);
+  const int a = arb.admit();
+  const int b = arb.admit();  // live, so a's fair share is 2 of 4
+  auto g1 = arb.acquire(a, {false, false, true, true});
+  ASSERT_TRUE(g1.has_value());
+  ASSERT_TRUE(g1->lease.covers(2) && g1->lease.covers(3));
+  arb.release(a, std::move(*g1), 10.0, 2);
+
+  auto g2 = arb.acquire(a, all_usable(4));
+  ASSERT_TRUE(g2.has_value());
+  EXPECT_EQ(g2->num_devices, 2);
+  EXPECT_TRUE(g2->lease.covers(2));
+  EXPECT_TRUE(g2->lease.covers(3));
+  EXPECT_FALSE(g2->lease.covers(0));
+  EXPECT_FALSE(g2->lease.covers(1));
+  arb.release(a, std::move(*g2), 10.0, 2);
+  arb.retire(a);
+  arb.retire(b);
+}
+
 // ---- Service-level behaviour ----------------------------------------------
 
 TEST(EncodeService, SingleSessionGetsTheWholePoolEveryFrame) {

@@ -7,7 +7,7 @@
 # CI usage (one stage per job, exit code propagates that stage's result):
 #   tools/check.sh --ci build-test    # configure + build + tier-1 ctest
 #   tools/check.sh --ci sanitize      # nested sanitizer builds (ctest -L)
-#   tools/check.sh --ci format        # clang-format over the source tree
+#   tools/check.sh --ci format        # knob lint + clang-format
 #   tools/check.sh --ci bench-smoke   # cheap bench runs, JSON to bench-json/
 #   tools/check.sh --ci chaos-smoke   # reduced chaos sweep (FEVES_CHAOS_ITERS)
 #
@@ -88,7 +88,13 @@ stage_sanitize() {
   fi
 }
 
+stage_knob_audit() {
+  # An option no caller turns should be a constant.
+  python3 "$ROOT/tools/knob_audit.py" "$ROOT"
+}
+
 stage_format() {
+  stage_knob_audit || return 1
   if ! command -v clang-format >/dev/null 2>&1; then
     echo "clang-format not found" >&2
     return 1
@@ -147,6 +153,7 @@ case "$CI_STAGE" in
       run_stage "format" stage_format
     else
       echo "(format check skipped: clang-format not installed)"
+      run_stage "knob audit" stage_knob_audit
     fi
     ;;
   build-test)
